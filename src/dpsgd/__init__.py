@@ -31,7 +31,7 @@ from .engine import (
     sgd_step,
     train_epoch,
 )
-from .metrics import RunRecord, StepContext, emit_csv, read_csv, record_step
+from .metrics import RunRecord, emit_csv, read_csv, record_step
 from .models import (
     ModelSpec,
     ParamSet,

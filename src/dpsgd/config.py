@@ -31,7 +31,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import models
-from .engine import DpConfig
+from .engine import CLIP_MODES, NOISE_PLACEMENTS, DpConfig
 from .errors import ConfigurationError
 
 
@@ -98,7 +98,7 @@ SCHEMA = {
     "train.epochs": ("int", REQUIRED),
     "train.delta": ("float", 1e-5),
     "train.seed": ("int", 0),
-    "train.workers": ("int", 1),
+    "train.workers": ("int", 1),  # no effect; kept so that existing configs parse
     "train.precision": ("str", "f32"),
     "train.output_dir": ("str", REQUIRED),
     "sweep.grad_acc_count": ("int_list", []),
@@ -180,10 +180,11 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("data.images", "idx source needs data.images and data.labels")
     if source == "csv" and not config["data.path"]:
         fail("data.path", "csv source needs data.path")
-    if config["dp.mode"] not in ("global", "per_layer", "per_stage"):
-        fail("dp.mode", f"must be global, per_layer or per_stage; got {config['dp.mode']!r}")
-    if config["dp.noise_placement"] not in ("per_example", "batch"):
-        fail("dp.noise_placement", f"got {config['dp.noise_placement']!r}")
+    if config["dp.mode"] not in CLIP_MODES:
+        fail("dp.mode", f"must be one of {', '.join(CLIP_MODES)}; got {config['dp.mode']!r}")
+    if config["dp.noise_placement"] not in NOISE_PLACEMENTS:
+        placement = config["dp.noise_placement"]
+        fail("dp.noise_placement", f"must be one of {', '.join(NOISE_PLACEMENTS)}; got {placement!r}")
     if config["dp.clip_norm"] <= 0:
         fail("dp.clip_norm", "must be positive")
     if config["dp.noise_multiplier"] < 0:

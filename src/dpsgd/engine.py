@@ -1,15 +1,14 @@
 """Clip, noise, accumulate, and step: the private training engine.
 
 Every per-example gradient is clipped (globally, per-layer, or per-stage),
-noised with an independent counter-based Gaussian stream, and folded into
-the batch mean in a fixed order, so results are bit-identical for any
-worker count. Noise streams are Philox-keyed by (seed, step, example
-index); draws use numpy's standard ziggurat normal transform.
+noised with an independent counter-based Gaussian stream, and added to the
+batch sum in batch order. Noise streams are Philox-keyed by (seed, step,
+example index), so no draw depends on the order in which examples are
+computed; draws use numpy's standard ziggurat normal transform.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
 from dataclasses import dataclass, replace
 
@@ -187,11 +186,6 @@ def build_stage_partition(layer_extents, num_stages: int, stage_layers=None) -> 
     return tuple(partition)
 
 
-# Placeholder entropy for Philox construction; the key is always overwritten,
-# so this value never influences any draw.
-_STREAM_TEMPLATE = np.random.SeedSequence(0x5EED)
-
-
 def _stream_key(seed: int, step: int, example_index: int) -> np.ndarray:
     mask = 0xFFFFFFFFFFFFFFFF
     return np.array([seed & mask, ((step << 32) | example_index) & mask], dtype=np.uint64)
@@ -203,11 +197,7 @@ def noise_stream(seed: int, step: int, example_index: int) -> np.random.Generato
     Philox keyed by (seed, step * 2^32 + example_index): reordering or
     parallelizing example computations cannot change any draw.
     """
-    bit_gen = np.random.Philox(seed=_STREAM_TEMPLATE)
-    state = bit_gen.state
-    state["state"]["key"] = _stream_key(seed, step, example_index)
-    bit_gen.state = state
-    return np.random.Generator(bit_gen)
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, step, example_index)))
 
 
 _stream_pool = threading.local()
@@ -216,20 +206,18 @@ _stream_pool = threading.local()
 def _reused_noise_stream(seed: int, step: int, example_index: int) -> np.random.Generator:
     """noise_stream on a per-thread reused bit generator.
 
-    Identical draws to noise_stream, without a fresh allocation per call.
+    Identical draws to noise_stream, without a fresh bit generator per call.
     Only valid until the next call on the same thread, so callers must
     finish drawing before requesting another stream.
     """
-    try:
-        bit_gen = _stream_pool.bit_gen
-    except AttributeError:
-        bit_gen = _stream_pool.bit_gen = np.random.Philox(seed=_STREAM_TEMPLATE)
+    key = _stream_key(seed, step, example_index)
+    bit_gen = getattr(_stream_pool, "bit_gen", None)
+    if bit_gen is None:
+        bit_gen = _stream_pool.bit_gen = np.random.Philox(key=key)
+        return np.random.Generator(bit_gen)
     state = bit_gen.state
-    state["state"]["key"] = _stream_key(seed, step, example_index)
-    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
+    state["state"].update(key=key, counter=np.zeros(4, dtype=np.uint64))
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     bit_gen.state = state
     return np.random.Generator(bit_gen)
 
@@ -238,13 +226,17 @@ def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float) -> np.
     return rng.standard_normal(dim, dtype=dtype) * dtype.type(scale)
 
 
+def _per_example_std(cfg: DpConfig) -> float:
+    """Per-coordinate noise std sigma C / sqrt(|B|): |B| such draws sum to variance sigma^2 C^2."""
+    return cfg.noise_multiplier * cfg.clip_norm / np.sqrt(cfg.effective_batch)
+
+
 def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Generator) -> FlatGradient:
     """Add i.i.d. Gaussian noise with per-coordinate variance
     sigma^2 * C^2 / |B| to an already clipped gradient."""
     if cfg.noise_multiplier == 0.0:
         return gradient
-    std = cfg.noise_multiplier * cfg.clip_norm / np.sqrt(cfg.effective_batch)
-    noise = sample_noise(rng, gradient.dim, gradient.values.dtype, std)
+    noise = sample_noise(rng, gradient.dim, gradient.values.dtype, _per_example_std(cfg))
     return replace(gradient, values=gradient.values + noise)
 
 
@@ -320,21 +312,6 @@ def lr_schedule(
     return lr
 
 
-def _example_contribution(spec, params, cfg, example, label, step, index, stage_partition):
-    """Per-example gradient -> clip -> noise. Pure given its arguments."""
-    loss, grad = models.per_example_gradient(spec, params, example, label)
-    if stage_partition is not None:
-        grad = replace(grad, stage_partition=stage_partition)
-    clipped = clip_gradient(grad, cfg)
-    if cfg.noise_multiplier != 0.0 and cfg.noise_placement == "per_example":
-        std = cfg.noise_multiplier * cfg.clip_norm / np.sqrt(cfg.effective_batch)
-        noise = sample_noise(_reused_noise_stream(cfg.seed, step, index), grad.dim,
-                             grad.values.dtype, std)
-    else:
-        noise = None
-    return loss, clipped, noise
-
-
 def train_epoch(
     spec: models.ModelSpec,
     params: models.ParamSet,
@@ -349,96 +326,77 @@ def train_epoch(
     start_step: int = 0,
     accountant_hook=None,
     metrics_hook=None,
-    workers: int = 1,
     stage_layers=None,
 ):
     """One pass over the given batches of example indices.
 
-    For each effective batch: per-example gradient -> clip -> noise ->
-    accumulate -> sgd step, then the accountant and metrics hooks fire
-    once. Contributions enter the accumulator in batch order (replica-
-    major), so any worker count produces the same records. Returns the
-    RunRecords for the epoch; a failed step leaves params at the last
-    completed step.
+    For each effective batch, one example at a time in batch order:
+    per-example gradient -> clip -> noise -> add to the running sums. Then
+    the mean takes one sgd step, and the accountant and metrics hooks fire
+    once. Returns the RunRecords for the epoch; a failed step leaves params
+    at the last completed step.
     """
-    from .metrics import StepContext, record_step
+    from .metrics import record_step
 
     stage_partition = None
     if cfg.mode == "per_stage":
         stage_partition = build_stage_partition(params.layer_extents, cfg.num_stages, stage_layers)
+    per_example_noise = cfg.noise_multiplier != 0.0 and cfg.noise_placement == "per_example"
+    per_example_std = _per_example_std(cfg)
+    batch_noise = cfg.noise_multiplier != 0.0 and cfg.noise_placement == "batch"
 
     records = []
     step = start_step
     dtype = params.flat.dtype
-    pool = None
-    if workers > 1:
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-    try:
-        for batch in batches:
-            if len(batch) != cfg.effective_batch:
-                raise ProtocolError(
-                    f"batch of {len(batch)} examples does not match effective batch "
-                    f"{cfg.effective_batch}"
-                )
-            sum_clipped = np.zeros(params.dim, dtype=dtype)
-            noise_total = np.zeros(params.dim, dtype=dtype)
-            loss_sum = 0.0
-
-            def compute(index_and_example, _step=step):
-                position, example_index = index_and_example
-                return _example_contribution(
-                    spec, params, cfg,
-                    examples[example_index], labels[example_index],
-                    _step, position, stage_partition,
-                )
-
-            if pool is not None:
-                results = pool.map(compute, enumerate(batch), chunksize=8)
-            else:
-                results = map(compute, enumerate(batch))
-
-            def contributions():
-                nonlocal loss_sum, sum_clipped, noise_total
-                for loss, clipped, noise in results:
-                    loss_sum += loss
-                    sum_clipped += clipped.values
-                    if noise is None:
-                        yield clipped
-                    else:
-                        noise_total += noise
-                        yield replace(clipped, values=clipped.values + noise)
-
-            mean_grad = accumulate(contributions(), cfg.effective_batch)
-            if cfg.noise_multiplier != 0.0 and cfg.noise_placement == "batch":
-                batch_noise = sample_noise(
-                    noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX),
-                    params.dim, dtype, cfg.noise_multiplier * cfg.clip_norm,
-                )
-                noise_total += batch_noise
-                mean_grad = replace(
-                    mean_grad, values=mean_grad.values + batch_noise / dtype.type(cfg.effective_batch)
-                )
-
-            params, opt_state = sgd_step(params, mean_grad, lr, opt_state)
-            step += 1
-            epsilon = accountant_hook(step) if accountant_hook is not None else float("inf")
-            context = StepContext(
-                step=step,
-                epoch=epoch,
-                lr=lr,
-                loss=loss_sum / cfg.effective_batch,
-                sigma=cfg.noise_multiplier,
-                epsilon=epsilon,
+    batch_size = dtype.type(cfg.effective_batch)
+    for batch in batches:
+        if len(batch) != cfg.effective_batch:
+            raise ProtocolError(
+                f"batch of {len(batch)} examples does not match effective batch "
+                f"{cfg.effective_batch}"
             )
-            record = record_step(
-                FlatGradient(sum_clipped, params.layer_extents),
-                FlatGradient(noise_total, params.layer_extents),
-                context,
+        sum_clipped = np.zeros(params.dim, dtype=dtype)
+        noise_total = np.zeros(params.dim, dtype=dtype)
+        # Each example's clipped + noise, summed on its own: adding the two totals
+        # after the loop would round differently in f32 and move the step's bytes.
+        sum_noised = np.zeros(params.dim, dtype=dtype) if per_example_noise else sum_clipped
+        loss_sum = 0.0
+        for position, index in enumerate(batch):
+            loss, grad = models.per_example_gradient(spec, params, examples[index], labels[index])
+            if stage_partition is not None:
+                grad = replace(grad, stage_partition=stage_partition)
+            clipped = clip_gradient(grad, cfg).values
+            loss_sum += loss
+            sum_clipped += clipped
+            if per_example_noise:
+                noise = sample_noise(_reused_noise_stream(cfg.seed, step, position),
+                                     params.dim, dtype, per_example_std)
+                noise_total += noise
+                sum_noised += clipped + noise
+
+        mean_grad = sum_noised / batch_size
+        if batch_noise:
+            noise = sample_noise(
+                noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX),
+                params.dim, dtype, cfg.noise_multiplier * cfg.clip_norm,
             )
-            records.append(record)
-            if metrics_hook is not None:
-                metrics_hook(record)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            noise_total += noise
+            mean_grad += noise / batch_size
+
+        params, opt_state = sgd_step(params, FlatGradient(mean_grad, params.layer_extents), lr, opt_state)
+        step += 1
+        epsilon = accountant_hook(step) if accountant_hook is not None else float("inf")
+        record = record_step(
+            FlatGradient(sum_clipped, params.layer_extents),
+            FlatGradient(noise_total, params.layer_extents),
+            step=step,
+            epoch=epoch,
+            lr=lr,
+            loss=loss_sum / cfg.effective_batch,
+            sigma=cfg.noise_multiplier,
+            epsilon=epsilon,
+        )
+        records.append(record)
+        if metrics_hook is not None:
+            metrics_hook(record)
     return params, opt_state, records

@@ -98,7 +98,7 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
         lr = engine.lr_schedule(
             epoch,
             cfg["optimizer.base_lr"],
-            dp_cfg.effective_batch,
+            dp_cfg.grad_acc_count,
             cfg["optimizer.decay_epochs"],
             cfg["optimizer.decay_factor"],
             cfg["optimizer.lr_scaling"],
@@ -107,7 +107,7 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
         params, opt_state, epoch_records = engine.train_epoch(
             spec, params, train_set.examples, train_set.labels, batches, dp_cfg, lr, opt_state,
             epoch=epoch, start_step=step,
-            accountant_hook=hook, workers=cfg["train.workers"],
+            accountant_hook=hook,
             stage_layers=cfg["dp.stage_layers"] or None,
         )
         step += len(epoch_records)

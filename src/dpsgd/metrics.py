@@ -23,17 +23,6 @@ CSV_FIELDS = ("step", "epoch", "lr", "loss", "accuracy", "grad_norm", "noise_nor
 
 
 @dataclass
-class StepContext:
-    step: int
-    epoch: int
-    lr: float
-    loss: float
-    sigma: float
-    epsilon: float
-    accuracy: float | None = None
-
-
-@dataclass
 class RunRecord:
     step: int
     epoch: int
@@ -46,31 +35,23 @@ class RunRecord:
     epsilon: float
 
 
-def record_step(sum_clipped: FlatGradient, noise_total: FlatGradient, context: StepContext) -> RunRecord:
-    """Build the metrics row for one optimizer step."""
+def record_step(sum_clipped: FlatGradient, noise_total: FlatGradient, *, step: int, epoch: int,
+                lr: float, loss: float, sigma: float, epsilon: float) -> RunRecord:
+    """Build the metrics row for one optimizer step; accuracy is filled in per epoch."""
     if sum_clipped.dim != noise_total.dim:
         raise ShapeError(
             f"gradient and noise dimensions differ: {sum_clipped.dim} vs {noise_total.dim}"
         )
     grad_norm = float(np.linalg.norm(sum_clipped.values.astype(np.float64, copy=False)))
     noise_norm = float(np.linalg.norm(noise_total.values.astype(np.float64, copy=False)))
-    if context.sigma == 0.0:
+    if sigma == 0.0:
         snr = None
     elif noise_norm == 0.0:
         snr = math.inf
     else:
         snr = grad_norm / noise_norm
-    return RunRecord(
-        step=context.step,
-        epoch=context.epoch,
-        lr=context.lr,
-        loss=context.loss,
-        accuracy=context.accuracy,
-        grad_norm=grad_norm,
-        noise_norm=noise_norm,
-        snr=snr,
-        epsilon=context.epsilon,
-    )
+    return RunRecord(step=step, epoch=epoch, lr=lr, loss=loss, accuracy=None, grad_norm=grad_norm,
+                     noise_norm=noise_norm, snr=snr, epsilon=epsilon)
 
 
 def format_float(value: float) -> str:

@@ -78,16 +78,9 @@ def conv2d(
 
     Zero padding; no kernel flip (the deep-learning convention).
     """
-    if x.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d expects (c,h,w) and (o,c,kh,kw), got {x.shape} and {kernels.shape}")
-    c_out, c_in, kh, kw = kernels.shape
-    if x.shape[0] != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    cols, h_out, w_out = _im2col(x, kh, kw, stride, padding)
-    out = np.matmul(kernels.reshape(c_out, -1), cols)
-    if bias is not None:
-        out += bias[:, None]
-    return out.reshape(c_out, h_out, w_out)
+    if bias is None:
+        bias = np.zeros(kernels.shape[0], dtype=kernels.dtype)
+    return conv2d_forward(x, kernels, bias, stride, padding)[0]
 
 
 def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
@@ -100,6 +93,8 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
 
 
 def conv2d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
+    if x.ndim != 3 or kernels.ndim != 4:
+        raise ShapeError(f"conv2d expects (c,h,w) and (o,c,kh,kw), got {x.shape} and {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
     if x.shape[0] != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")

@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpsgd
 from dpsgd import cli, config as config_mod, experiment, metrics
 
 
@@ -140,6 +143,13 @@ class TestClippingModesEndToEnd:
         records = metrics.read_csv(csv_path)
         assert all(r.noise_norm > 0 for r in records)
 
+    def test_lr_scales_by_accumulation_count_not_replicas(self, tmp_path):
+        path = write_config(tmp_path, extra="dp.replicas = 2\n")
+        path.write_text(path.read_text().replace("lr_scaling = false", "lr_scaling = true"))
+        assert cli.main(["run", str(path)]) == 0
+        records = metrics.read_csv(next((tmp_path / "out").glob("*.csv")))
+        assert records and all(r.lr == 0.16 for r in records)
+
 
 class TestDeterminism:
     def test_same_config_twice_is_byte_identical(self, tmp_path):
@@ -164,9 +174,12 @@ class TestDeterminism:
         cli.main(["run", str(path)])
         csv_path = next((tmp_path / "out").glob("*.csv"))
         first = csv_path.read_bytes()
+        # The fresh process imports the same tree as this one.
+        source_root = str(Path(dpsgd.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dpsgd", "run", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0, proc.stderr
         assert csv_path.read_bytes() == first

@@ -7,13 +7,13 @@ import pytest
 from dpsgd import metrics
 from dpsgd.engine import FlatGradient
 from dpsgd.errors import ShapeError
-from dpsgd.metrics import RunRecord, StepContext
+from dpsgd.metrics import RunRecord
 
 
 def ctx(sigma=1.0, **kwargs):
     defaults = dict(step=1, epoch=0, lr=0.1, loss=2.0, sigma=sigma, epsilon=0.5)
     defaults.update(kwargs)
-    return StepContext(**defaults)
+    return defaults
 
 
 def fg(values):
@@ -22,18 +22,18 @@ def fg(values):
 
 class TestRecordStep:
     def test_zero_noise_with_sigma_positive_records_inf(self):
-        record = metrics.record_step(fg([1.0, 0.0]), fg([0.0, 0.0]), ctx(sigma=1.0))
+        record = metrics.record_step(fg([1.0, 0.0]), fg([0.0, 0.0]), **ctx(sigma=1.0))
         assert record.snr == math.inf
 
     def test_equal_vectors_give_unit_snr(self):
         v = [0.3, -0.4, 1.2]
-        record = metrics.record_step(fg(v), fg(v), ctx())
+        record = metrics.record_step(fg(v), fg(v), **ctx())
         assert record.snr == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_norm_and_divide_oracle(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(50), rng.standard_normal(50)
-        record = metrics.record_step(fg(a), fg(b), ctx())
+        record = metrics.record_step(fg(a), fg(b), **ctx())
         want_grad = math.sqrt(sum(float(x) * float(x) for x in a))
         want_noise = math.sqrt(sum(float(x) * float(x) for x in b))
         assert record.grad_norm == pytest.approx(want_grad, rel=1e-12)
@@ -41,17 +41,17 @@ class TestRecordStep:
         assert record.snr == pytest.approx(want_grad / want_noise, rel=1e-12)
 
     def test_sigma_zero_leaves_snr_absent(self):
-        record = metrics.record_step(fg([1.0]), fg([0.0]), ctx(sigma=0.0))
+        record = metrics.record_step(fg([1.0]), fg([0.0]), **ctx(sigma=0.0))
         assert record.snr is None
 
     def test_norms_are_float64_even_for_float32_inputs(self):
         big = FlatGradient(np.full(4, 1e20, dtype=np.float32))
-        record = metrics.record_step(big, big, ctx())
+        record = metrics.record_step(big, big, **ctx())
         assert math.isfinite(record.grad_norm)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="dimension"):
-            metrics.record_step(fg([1.0, 2.0]), fg([1.0]), ctx())
+            metrics.record_step(fg([1.0, 2.0]), fg([1.0]), **ctx())
 
 
 def make_records(n):
