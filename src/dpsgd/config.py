@@ -31,7 +31,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import models
-from .engine import CLIP_MODES, NOISE_PLACEMENTS, DpConfig
+from .engine import DpConfig
 from .errors import ConfigurationError
 
 
@@ -167,6 +167,12 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text, origin=str(path))
 
 
+# DpConfig fields read from the dp.* key of the same name.
+_DP_FIELDS = (
+    "clip_norm", "noise_multiplier", "mode", "num_stages", "grad_acc_count", "replicas", "noise_placement",
+)
+
+
 def _validate(config: ExperimentConfig, origin: str) -> None:
     def fail(key, message):
         raise ConfigurationError(f"{origin}: {key}: {message}")
@@ -180,17 +186,10 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("data.images", "idx source needs data.images and data.labels")
     if source == "csv" and not config["data.path"]:
         fail("data.path", "csv source needs data.path")
-    if config["dp.mode"] not in CLIP_MODES:
-        fail("dp.mode", f"must be one of {', '.join(CLIP_MODES)}; got {config['dp.mode']!r}")
-    if config["dp.noise_placement"] not in NOISE_PLACEMENTS:
-        placement = config["dp.noise_placement"]
-        fail("dp.noise_placement", f"must be one of {', '.join(NOISE_PLACEMENTS)}; got {placement!r}")
-    if config["dp.clip_norm"] <= 0:
-        fail("dp.clip_norm", "must be positive")
-    if config["dp.noise_multiplier"] < 0:
-        fail("dp.noise_multiplier", "must be >= 0")
-    if config["dp.grad_acc_count"] < 1 or config["dp.replicas"] < 1:
-        fail("dp.grad_acc_count", "grad_acc_count and replicas must be >= 1")
+    try:
+        DpConfig(**{field: config[f"dp.{field}"] for field in _DP_FIELDS})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{origin}: dp.{exc}") from exc
     if config["train.epochs"] < 0:
         fail("train.epochs", "must be >= 0")
     if not 0.0 < config["train.delta"] < 1.0:
@@ -260,17 +259,10 @@ def split_holdout(loaded: data_mod.Dataset, fraction: float = 0.1):
 
 
 def build_dp_config(config: ExperimentConfig) -> DpConfig:
-    enabled = config["dp.enabled"]
-    return DpConfig(
-        clip_norm=config["dp.clip_norm"] if enabled else float("inf"),
-        noise_multiplier=config["dp.noise_multiplier"] if enabled else 0.0,
-        mode=config["dp.mode"] if enabled else "global",
-        num_stages=config["dp.num_stages"],
-        grad_acc_count=config["dp.grad_acc_count"],
-        replicas=config["dp.replicas"],
-        noise_placement=config["dp.noise_placement"],
-        seed=config["train.seed"],
-    )
+    values = {field: config[f"dp.{field}"] for field in _DP_FIELDS}
+    if not config["dp.enabled"]:
+        values.update(clip_norm=float("inf"), noise_multiplier=0.0, mode="global")
+    return DpConfig(**values, seed=config["train.seed"])
 
 
 def dtype_for(config: ExperimentConfig):

@@ -55,7 +55,10 @@ def _check_extents(extents, dim: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class DpConfig:
-    """Privacy mechanism settings for one training run."""
+    """Privacy mechanism settings for one training run.
+
+    Every error message starts with the name of the field at fault.
+    """
 
     clip_norm: float
     noise_multiplier: float
@@ -68,16 +71,17 @@ class DpConfig:
 
     def __post_init__(self):
         if not self.clip_norm > 0:
-            raise ConfigurationError(f"clip_norm must be positive, got {self.clip_norm}")
+            raise ConfigurationError(f"clip_norm: must be positive, got {self.clip_norm}")
         if self.noise_multiplier < 0:
-            raise ConfigurationError(f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
+            raise ConfigurationError(f"noise_multiplier: must be >= 0, got {self.noise_multiplier}")
         if self.mode not in CLIP_MODES:
-            raise ConfigurationError(f"clipping mode must be one of {CLIP_MODES}, got {self.mode!r}")
-        if self.num_stages < 1 or self.grad_acc_count < 1 or self.replicas < 1:
-            raise ConfigurationError("num_stages, grad_acc_count and replicas must all be >= 1")
+            raise ConfigurationError(f"mode: must be one of {CLIP_MODES}, got {self.mode!r}")
+        for name in ("num_stages", "grad_acc_count", "replicas"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.noise_placement not in NOISE_PLACEMENTS:
             raise ConfigurationError(
-                f"noise_placement must be one of {NOISE_PLACEMENTS}, got {self.noise_placement!r}"
+                f"noise_placement: must be one of {NOISE_PLACEMENTS}, got {self.noise_placement!r}"
             )
 
     @property

@@ -72,57 +72,6 @@ def cnn_spec(
     return ModelSpec(tuple(layers), tuple(input_shape), num_classes)
 
 
-def _infer_shapes(spec: ModelSpec) -> list[tuple]:
-    """Shape after each layer; raises if consecutive layers do not compose."""
-    shapes = []
-    shape = spec.input_shape
-    for idx, layer in enumerate(spec.layers):
-        if layer.kind in ("batch_norm", "batchnorm"):
-            raise PrivacyViolationError(
-                f"layer {idx}: batch normalization mixes samples within a batch "
-                "and is not allowed in a per-example-privacy model"
-            )
-        if layer.kind == "linear":
-            if len(shape) != 1:
-                raise ShapeError(f"layer {idx}: linear needs a flat input, got {shape}")
-            shape = (layer.out_features,)
-        elif layer.kind == "conv2d":
-            if len(shape) != 3:
-                raise ShapeError(f"layer {idx}: conv2d needs (c, h, w) input, got {shape}")
-            c, h, w = shape
-            h2 = ops._conv_out_extent(h, layer.kernel, layer.stride, layer.padding, "h")
-            w2 = ops._conv_out_extent(w, layer.kernel, layer.stride, layer.padding, "w")
-            shape = (layer.out_channels, h2, w2)
-        elif layer.kind == "group_norm":
-            if len(shape) != 3:
-                raise ShapeError(f"layer {idx}: group_norm needs (c, h, w) input, got {shape}")
-            if shape[0] % layer.groups != 0:
-                raise ConfigurationError(
-                    f"layer {idx}: channels {shape[0]} not divisible by groups {layer.groups}"
-                )
-        elif layer.kind == "relu":
-            pass
-        elif layer.kind == "max_pool":
-            if len(shape) != 3:
-                raise ShapeError(f"layer {idx}: max_pool needs (c, h, w) input, got {shape}")
-            c, h, w = shape
-            if h % layer.size or w % layer.size:
-                raise ConfigurationError(
-                    f"layer {idx}: pool size {layer.size} does not divide {shape[1:]}"
-                )
-            shape = (c, h // layer.size, w // layer.size)
-        elif layer.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        else:
-            raise ConfigurationError(f"layer {idx}: unknown layer kind {layer.kind!r}")
-        shapes.append(shape)
-    if shapes[-1] != (spec.num_classes,):
-        raise ShapeError(
-            f"model output shape {shapes[-1]} does not match num_classes {spec.num_classes}"
-        )
-    return shapes
-
-
 @dataclass(frozen=True)
 class ParamLayout:
     """Where one parameterized layer's tensors live inside the flat vector."""
@@ -163,32 +112,63 @@ class ParamSet:
         }
 
 
-def _param_shapes(layer: LayerSpec, in_shape: tuple) -> list:
-    if layer.kind == "linear":
-        return [("weight", (layer.out_features, in_shape[0])), ("bias", (layer.out_features,))]
-    if layer.kind == "conv2d":
-        return [
-            ("weight", (layer.out_channels, in_shape[0], layer.kernel, layer.kernel)),
-            ("bias", (layer.out_channels,)),
-        ]
-    if layer.kind == "group_norm":
-        return [("gamma", (in_shape[0],)), ("beta", (in_shape[0],))]
+def _group_norm_forward(layer: LayerSpec, x: np.ndarray, p: dict):
+    # ops.group_norm_forward takes a batch: give it a batch of one.
+    y, tape = ops.group_norm_forward(x[None], p["gamma"], p["beta"], layer.groups)
+    return y[0], tape
+
+
+def _no_params(layer, in_shape):
     return []
+
+
+# kind -> (parameter shapes given the input shape, forward of one example).
+# ops.backward_layer runs the backward. Forwards look their ops function up
+# at call time, so wrappers set on ops (a tracer, a test) see every call.
+LAYER_KINDS = {
+    "linear": (
+        lambda layer, s: [("weight", (layer.out_features, s[0])), ("bias", (layer.out_features,))],
+        lambda layer, x, p: ops.linear_forward(x, p["weight"], p["bias"]),
+    ),
+    "conv2d": (
+        lambda layer, s: [
+            ("weight", (layer.out_channels, s[0], layer.kernel, layer.kernel)),
+            ("bias", (layer.out_channels,)),
+        ],
+        lambda layer, x, p: ops.conv2d_forward(x, p["weight"], p["bias"], layer.stride, layer.padding),
+    ),
+    "group_norm": (lambda layer, s: [("gamma", (s[0],)), ("beta", (s[0],))], _group_norm_forward),
+    "relu": (_no_params, lambda layer, x, p: ops.relu_forward(x)),
+    "max_pool": (_no_params, lambda layer, x, p: ops.max_pool_forward(x, layer.size)),
+    "flatten": (_no_params, lambda layer, x, p: ops.flatten_forward(x)),
+}
+
+
+def _layer_kind(idx: int, layer: LayerSpec) -> tuple:
+    if layer.kind in ("batch_norm", "batchnorm"):
+        raise PrivacyViolationError(
+            f"layer {idx}: batch normalization mixes samples within a batch "
+            "and is not allowed in a per-example-privacy model"
+        )
+    if layer.kind not in LAYER_KINDS:
+        raise ConfigurationError(f"layer {idx}: unknown layer kind {layer.kind!r}")
+    return LAYER_KINDS[layer.kind]
 
 
 def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
     """Initialize parameters: He fan-in scaling for weights, zeros for
-    biases, gamma=1 / beta=0 for norms. Deterministic given the seed."""
-    shapes = _infer_shapes(spec)
+    biases, gamma=1 / beta=0 for norms. Deterministic given the seed.
+    Shapes come from running each layer's forward once on zeros."""
     rng = np.random.default_rng([int(seed), 1])
     layouts = []
     chunks = []
     offset = 0
-    in_shape = spec.input_shape
+    x = np.zeros(spec.input_shape, dtype=dtype)
     for idx, layer in enumerate(spec.layers):
+        param_shapes, forward = _layer_kind(idx, layer)
         entries = []
         start = offset
-        for name, shape in _param_shapes(layer, in_shape):
+        for name, shape in param_shapes(layer, x.shape):
             size = int(np.prod(shape))
             if name == "weight":
                 fan_in = int(np.prod(shape[1:]))
@@ -202,42 +182,32 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
             offset += size
         if entries:
             layouts.append(ParamLayout(idx, start, offset - start, tuple(entries)))
-        in_shape = shapes[idx]
+        try:
+            x, _ = forward(layer, x, {name: np.zeros(shape, dtype) for name, shape, _, _ in entries})
+        except (ConfigurationError, ShapeError) as exc:
+            raise type(exc)(f"layer {idx}: {exc}") from exc
+    if x.shape != (spec.num_classes,):
+        raise ShapeError(f"model output shape {x.shape} does not match num_classes {spec.num_classes}")
     flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
     return ParamSet(flat=flat, layouts=tuple(layouts), spec=spec)
 
 
-def _forward(spec: ModelSpec, params: ParamSet, example: np.ndarray, with_tapes: bool):
+def _forward(spec: ModelSpec, params: ParamSet, example: np.ndarray):
     if tuple(example.shape) != spec.input_shape:
         raise ShapeError(f"example shape {example.shape} does not match model input {spec.input_shape}")
     x = example.astype(params.flat.dtype, copy=False)
     tapes = []
     for idx, layer in enumerate(spec.layers):
-        if layer.kind == "linear":
-            p = params.views(params.layout_for(idx))
-            x, tape = ops.linear_forward(x, p["weight"], p["bias"])
-        elif layer.kind == "conv2d":
-            p = params.views(params.layout_for(idx))
-            x, tape = ops.conv2d_forward(x, p["weight"], p["bias"], layer.stride, layer.padding)
-        elif layer.kind == "group_norm":
-            p = params.views(params.layout_for(idx))
-            y, tape = ops.group_norm_forward(x[None], p["gamma"], p["beta"], layer.groups)
-            x = y[0]
-        elif layer.kind == "relu":
-            x, tape = ops.relu_forward(x)
-        elif layer.kind == "max_pool":
-            x, tape = ops.max_pool_forward(x, layer.size)
-        elif layer.kind == "flatten":
-            x, tape = ops.flatten_forward(x)
-        else:
-            raise ConfigurationError(f"unknown layer kind {layer.kind!r}")
-        if with_tapes:
-            tapes.append(tape)
+        layout = params._layout_by_layer.get(idx)
+        views = params.views(layout) if layout is not None else {}
+        _, forward = _layer_kind(idx, layer)
+        x, tape = forward(layer, x, views)
+        tapes.append(tape)
     return x, tapes
 
 
 def forward_logits(spec: ModelSpec, params: ParamSet, example: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(spec, params, example, with_tapes=False)
+    logits, _ = _forward(spec, params, example)
     return logits
 
 
@@ -250,16 +220,12 @@ def per_example_gradient(spec: ModelSpec, params: ParamSet, example: np.ndarray,
     """
     if not 0 <= int(label) < spec.num_classes:
         raise ValueError(f"label {label} out of range [0, {spec.num_classes})")
-    logits, tapes = _forward(spec, params, example, with_tapes=True)
+    logits, tapes = _forward(spec, params, example)
     loss, upstream = ops.softmax_cross_entropy(logits, int(label))
     grad = np.zeros(params.dim, dtype=params.flat.dtype)
-    for idx in range(len(spec.layers) - 1, -1, -1):
-        tape = tapes[idx]
-        if tape.kind == "group_norm":
-            d_x, param_grads = ops.backward_layer(tape, upstream[None])
-            upstream = d_x[0]
-        else:
-            upstream, param_grads = ops.backward_layer(tape, upstream)
+    for idx, tape in reversed(list(enumerate(tapes))):
+        # Group norm's tape has a batch axis of one: match each tape's shape.
+        upstream, param_grads = ops.backward_layer(tape, upstream.reshape(tape.output_shape))
         layout = params._layout_by_layer.get(idx)
         if layout is not None:
             for (name, shape, offset, size), g in zip(layout.params, param_grads):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ShapeError
 
@@ -56,14 +57,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     w_out = _conv_out_extent(w, kw, stride, padding, "w")
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c * kh * kw, h_out * w_out), dtype=x.dtype)
-    row = 0
-    for ci in range(c):
-        for i in range(kh):
-            for j in range(kw):
-                window = x[ci, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-                cols[row] = window.ravel()
-                row += 1
+    # (c, h_out, w_out, kh, kw) windows -> rows ordered (c, i, j), like the kernels.
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h_out * w_out)
     return cols, h_out, w_out
 
 
@@ -150,6 +146,8 @@ def relu_forward(x: np.ndarray):
 
 def max_pool_forward(x: np.ndarray, size: int = 2):
     """Non-overlapping max pooling over (c, h, w) with window size x size."""
+    if x.ndim != 3:
+        raise ShapeError(f"max_pool expects (c, h, w), got {x.shape}")
     c, h, w = x.shape
     if h % size != 0 or w % size != 0:
         raise ConfigurationError(f"max_pool size {size} does not divide spatial extents {(h, w)}")
@@ -194,14 +192,12 @@ def backward_layer(tape: LayerTape, upstream: np.ndarray):
         d_cols = np.matmul(kernels.reshape(c_out, -1).T, up)
         _, h, w = tape.input_shape
         d_xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding), dtype=upstream.dtype)
-        row = 0
-        for ci in range(c_in):
-            for i in range(kh):
-                for j in range(kw):
-                    d_xp[ci, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                        d_cols[row].reshape(h_out, w_out)
-                    )
-                    row += 1
+        # Each input element receives its (i, j) terms in the same order as
+        # a per-channel loop would add them, so the sums are bit-identical.
+        d_cols = d_cols.reshape(c_in, kh, kw, h_out, w_out)
+        for i in range(kh):
+            for j in range(kw):
+                d_xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d_cols[:, i, j]
         d_x = d_xp[:, padding : padding + h, padding : padding + w] if padding else d_xp
         return d_x, [d_k, d_b]
     if tape.kind == "group_norm":

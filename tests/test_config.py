@@ -57,6 +57,11 @@ class TestParser:
         with pytest.raises(ConfigurationError, match="data.source"):
             parse(MINIMAL + "data.source = warehouse\n")
 
+    def test_num_stages_checked_at_parse_time(self):
+        for enabled in ("true", "false"):
+            with pytest.raises(ConfigurationError, match=r"^test: dp\.num_stages: "):
+                parse(MINIMAL + f"dp.enabled = {enabled}\ndp.num_stages = 0\n")
+
     def test_idx_source_requires_paths(self):
         with pytest.raises(ConfigurationError, match="data.images"):
             parse(MINIMAL + "data.source = idx\n")

@@ -1,9 +1,14 @@
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import finite_difference_gradient, max_relative_error
 
-from dpsgd import models
-from dpsgd.errors import PrivacyViolationError, ShapeError
+from dpsgd import models, ops
+from dpsgd.errors import ConfigurationError, PrivacyViolationError, ShapeError
 
 
 def tiny_cnn_spec():
@@ -60,7 +65,23 @@ class TestBuildModel:
 
     def test_shape_mismatch_in_spec_rejected(self):
         spec = models.ModelSpec((models.LayerSpec("linear", out_features=4),), (3, 4, 4), 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="layer 0: "):
+            models.build_model(spec, seed=0)
+
+    @pytest.mark.parametrize(
+        "tail, error",
+        [
+            ((models.LayerSpec("dropout"),), ConfigurationError),
+            ((models.LayerSpec("group_norm", groups=3),), ConfigurationError),
+            ((models.LayerSpec("max_pool", size=3),), ConfigurationError),
+            ((models.LayerSpec("flatten"), models.LayerSpec("max_pool", size=2)), ShapeError),
+        ],
+        ids=["unknown_kind", "groups_do_not_divide", "pool_does_not_divide", "max_pool_after_flatten"],
+    )
+    def test_spec_errors_name_the_layer(self, tail, error):
+        # conv maps (2, 4, 4) to (4, 4, 4); the last layer of the tail is at fault.
+        spec = models.ModelSpec((models.LayerSpec("conv2d", out_channels=4),) + tail, (2, 4, 4), 3)
+        with pytest.raises(error, match=f"^layer {len(tail)}: "):
             models.build_model(spec, seed=0)
 
 
@@ -149,3 +170,38 @@ def test_evaluate_accuracy_counts_argmax_matches():
     examples = np.array([[3, 0, 0, 0], [0, 3, 0, 0], [3, 0, 0, 0]], dtype=np.float32)
     labels = np.array([0, 1, 1])
     assert models.evaluate_accuracy(spec, params, examples, labels) == pytest.approx(2 / 3)
+
+
+def test_traced_functions_exist_and_see_every_layer_call(monkeypatch):
+    # The benchmark's tracer replaces the functions it names by setattr on
+    # their module. Every name must exist, and the layer table must reach
+    # ops through the module, or traced runs would count no layer calls.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "worker.py"
+    loader = importlib.util.spec_from_file_location("benchmark_worker", path)
+    worker = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(worker)
+    for module_name, functions in worker.TRACED.items():
+        module = importlib.import_module(f"dpsgd.{module_name}")
+        for fn_name in functions:
+            assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[f"{name}.{args[0].kind}" if name == "backward_layer" else name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("conv2d_forward", "group_norm_forward", "backward_layer"):
+        monkeypatch.setattr(ops, name, counting(name, getattr(ops, name)))
+    spec = tiny_cnn_spec()
+    kinds = Counter(layer.kind for layer in spec.layers)
+    forwards = Counter(conv2d_forward=kinds["conv2d"], group_norm_forward=kinds["group_norm"])
+    params = models.build_model(spec, seed=7)
+    assert calls == forwards  # the shape pass runs each forward once
+    calls.clear()
+    x = np.random.default_rng(7).standard_normal(spec.input_shape).astype(np.float32)
+    models.per_example_gradient(spec, params, x, 0)
+    assert calls == forwards + Counter({f"backward_layer.{kind}": n for kind, n in kinds.items()})

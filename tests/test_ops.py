@@ -68,6 +68,69 @@ class TestConv2d:
             ops.conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2)
 
 
+def im2col_loop(x, kh, kw, stride, padding):
+    """Reference unfold: one patch row per (channel, i, j), filled by loops."""
+    c, h, w = x.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((c * kh * kw, h_out * w_out), dtype=x.dtype)
+    row = 0
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                cols[row] = x[ci, i : i + stride * h_out : stride, j : j + stride * w_out : stride].ravel()
+                row += 1
+    return cols
+
+
+def fold_loop(d_cols, input_shape, kh, kw, stride, padding):
+    """Reference fold of patch gradients back onto the input, one row at a time."""
+    c, h, w = input_shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    d_xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=d_cols.dtype)
+    row = 0
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                d_xp[ci, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                    d_cols[row].reshape(h_out, w_out)
+                )
+                row += 1
+    return d_xp[:, padding : padding + h, padding : padding + w]
+
+
+def valid_extents(kernel, stride, padding):
+    """Two different input extents that give a whole number of conv outputs."""
+    padded = [(n, n + 2 * padding - kernel) for n in range(3, 16)]
+    valid = [n for n, span in padded if span >= 0 and span % stride == 0]
+    return valid[1], valid[2]
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("channels", [1, 3, 32])
+def test_unfold_and_fold_equal_loop_references(channels, kernel, stride, padding):
+    h, w = valid_extents(kernel, stride, padding)
+    rng = np.random.default_rng([channels, kernel, stride, padding])
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((channels, h, w)).astype(dtype)
+        k = rng.standard_normal((4, channels, kernel, kernel)).astype(dtype)
+        cols, _, _ = ops._im2col(x, kernel, kernel, stride, padding)
+        assert cols.dtype == dtype
+        assert np.array_equal(cols, im2col_loop(x, kernel, kernel, stride, padding))
+
+        y, tape = ops.conv2d_forward(x, k, np.zeros(4, dtype=dtype), stride, padding)
+        up = rng.standard_normal(y.shape).astype(dtype)
+        d_x, _ = ops.backward_layer(tape, up)
+        d_cols = np.matmul(k.reshape(4, -1).T, up.reshape(4, -1))
+        want = fold_loop(d_cols, x.shape, kernel, kernel, stride, padding)
+        assert d_x.dtype == dtype
+        assert np.array_equal(d_x, want)
+
+
 class TestGroupNorm:
     def test_constant_input_gives_beta(self):
         x = np.full((1, 4, 2, 2), 3.7)
@@ -126,7 +189,7 @@ class TestBackwardLayer:
         with pytest.raises(ShapeError):
             ops.backward_layer(tape, np.zeros(3))
 
-    @pytest.mark.parametrize("case", ["linear", "conv", "group_norm", "max_pool"])
+    @pytest.mark.parametrize("case", ["linear", "conv", "conv_stride2_pad0", "group_norm", "max_pool"])
     def test_layer_gradients_match_finite_differences(self, case):
         rng = np.random.default_rng(hash(case) % 2**31)
         if case == "linear":
@@ -135,12 +198,13 @@ class TestBackwardLayer:
             b = rng.standard_normal(4)
             params = [w, b]
             forward = lambda: ops.linear_forward(x, w, b)
-        elif case == "conv":
+        elif case.startswith("conv"):
+            stride, padding = (2, 0) if case == "conv_stride2_pad0" else (1, 1)
             x = rng.standard_normal((2, 5, 5))
             w = rng.standard_normal((3, 2, 3, 3)) * 0.5
             b = rng.standard_normal(3)
             params = [w, b]
-            forward = lambda: ops.conv2d_forward(x, w, b, stride=1, padding=1)
+            forward = lambda: ops.conv2d_forward(x, w, b, stride=stride, padding=padding)
         elif case == "group_norm":
             x = rng.standard_normal((1, 4, 3, 3))
             w = rng.standard_normal(4) + 1.5
