@@ -1,10 +1,12 @@
 """Clip, noise, accumulate, and step: the private training engine.
 
-Every per-example gradient is clipped (globally, per-layer, or per-stage),
-noised with an independent counter-based Gaussian stream, and added to the
-batch sum in batch order. Noise streams are Philox-keyed by (seed, step,
-example index), so no draw depends on the order in which examples are
-computed; draws use numpy's standard ziggurat normal transform.
+Every per-example gradient is clipped (globally, per-layer, or per-stage)
+and noised with an independent counter-based Gaussian stream. Training runs
+each batch in chunks of examples: per-example squared norms, clip factors
+and the clipped sum are computed for a whole chunk at once. Noise streams
+are Philox-keyed by (seed, step, example index), so no draw depends on the
+order in which examples are computed; draws use numpy's standard ziggurat
+normal transform.
 """
 
 from __future__ import annotations
@@ -96,18 +98,25 @@ class OptimizerState:
     step: int = 0
 
 
-def _clip_slice(values: np.ndarray, bound: float) -> np.ndarray | None:
-    """Scaled copy if the slice exceeds the bound, else None (leave as is).
+def clip_factors(sq_norms: np.ndarray, bound: float, dtype) -> np.ndarray:
+    """Scale factor of each slice from its float64 squared L2 norm.
 
-    Norms within a few ulp of the bound count as already clipped so that
-    clipping is exactly idempotent.
+    1 where the norm is at most bound * (1 + 32 eps of dtype), so that norms
+    within a few ulp of the bound count as already clipped and clipping is
+    exactly idempotent; bound / norm elsewhere.
     """
+    norms = np.sqrt(sq_norms)
+    over = norms > bound * (1.0 + 32.0 * np.finfo(dtype).eps)
+    return np.divide(bound, norms, out=np.ones_like(norms), where=over)
+
+
+def _clip_slice(values: np.ndarray, bound: float) -> np.ndarray | None:
+    """Scaled copy if the slice exceeds the bound, else None (leave as is)."""
     wide = values.astype(np.float64, copy=False)
-    norm = float(np.sqrt(np.dot(wide, wide)))
-    guard = 32.0 * np.finfo(values.dtype).eps
-    if norm <= bound * (1.0 + guard):
+    factor = clip_factors(np.dot(wide, wide), bound, values.dtype)
+    if factor == 1.0:
         return None
-    return values * (bound / norm)
+    return values * values.dtype.type(factor)
 
 
 def clip_global(gradient: FlatGradient, clip_norm: float) -> FlatGradient:
@@ -164,13 +173,8 @@ def clip_gradient(gradient: FlatGradient, cfg: DpConfig) -> FlatGradient:
     return clip_per_stage(gradient, cfg.clip_norm, cfg.num_stages)
 
 
-def build_stage_partition(layer_extents, num_stages: int, stage_layers=None) -> tuple:
-    """Merge consecutive layer extents into num_stages contiguous slices.
-
-    stage_layers optionally gives the number of layers per stage; the
-    default splits the layer list as evenly as possible.
-    """
-    num_layers = len(layer_extents)
+def _stage_layer_counts(num_layers: int, num_stages: int, stage_layers=None) -> list:
+    """Layers in each stage: stage_layers if given, else as even a split as possible."""
     if stage_layers is None:
         base, extra = divmod(num_layers, num_stages)
         if base == 0:
@@ -181,9 +185,18 @@ def build_stage_partition(layer_extents, num_stages: int, stage_layers=None) -> 
             f"stage layer counts {stage_layers} do not partition {num_layers} layers "
             f"into {num_stages} stages"
         )
+    return list(stage_layers)
+
+
+def build_stage_partition(layer_extents, num_stages: int, stage_layers=None) -> tuple:
+    """Merge consecutive layer extents into num_stages contiguous slices.
+
+    stage_layers optionally gives the number of layers per stage; the
+    default splits the layer list as evenly as possible.
+    """
     partition = []
     cursor = 0
-    for count in stage_layers:
+    for count in _stage_layer_counts(len(layer_extents), num_stages, stage_layers):
         chunk = layer_extents[cursor : cursor + count]
         partition.append((chunk[0][0], sum(length for _, length in chunk)))
         cursor += count
@@ -316,6 +329,29 @@ def lr_schedule(
     return lr
 
 
+def _clip_slices(cfg: DpConfig, num_layers: int, stage_layers=None) -> tuple:
+    """The clip slice of each parameterised layer, and the bound on each slice."""
+    if cfg.mode == "global":
+        return np.zeros(num_layers, dtype=np.intp), cfg.clip_norm
+    if cfg.mode == "per_layer":
+        return np.arange(num_layers), cfg.clip_norm / np.sqrt(num_layers)
+    counts = _stage_layer_counts(num_layers, cfg.num_stages, stage_layers)
+    return np.repeat(np.arange(cfg.num_stages), counts), cfg.clip_norm / np.sqrt(cfg.num_stages)
+
+
+def _check_finite_norms(sq_norms: np.ndarray, step: int, first_position: int, layer_extents) -> None:
+    """Raise for the first example, and its first layer, whose squared norm
+    in sq_norms (layers, examples) is not finite."""
+    if np.isfinite(sq_norms).all():
+        return
+    row, layer = np.argwhere(~np.isfinite(sq_norms.T))[0]
+    offset, length = layer_extents[layer]
+    raise NonFiniteGradientError(
+        f"non-finite gradient at step {step}, batch position {first_position + row}, "
+        f"layer {layer} (offset {offset}, length {length})"
+    )
+
+
 def train_epoch(
     spec: models.ModelSpec,
     params: models.ParamSet,
@@ -334,24 +370,30 @@ def train_epoch(
 ):
     """One pass over the given batches of example indices.
 
-    For each effective batch, one example at a time in batch order:
-    per-example gradient -> clip -> noise -> add to the running sums. Then
+    Each effective batch runs in chunks of models.chunk_size examples. For a
+    chunk: per-example gradients and their float64 squared norms per layer,
+    one clip factor per example and slice, and the factor-weighted sum added
+    to the batch total. Then each example's noise is drawn in batch order,
     the mean takes one sgd step, and the accountant and metrics hooks fire
     once. Returns the RunRecords for the epoch; a failed step leaves params
-    at the last completed step.
+    at the last completed step. A non-finite per-example norm raises
+    NonFiniteGradientError naming the step, the batch position and the layer.
     """
     from .metrics import record_step
 
-    stage_partition = None
-    if cfg.mode == "per_stage":
-        stage_partition = build_stage_partition(params.layer_extents, cfg.num_stages, stage_layers)
+    slice_of_layer, bound = _clip_slices(cfg, len(params.layouts), stage_layers)
+    slice_starts = np.flatnonzero(np.diff(slice_of_layer, prepend=-1))
     per_example_noise = cfg.noise_multiplier != 0.0 and cfg.noise_placement == "per_example"
     per_example_std = _per_example_std(cfg)
     batch_noise = cfg.noise_multiplier != 0.0 and cfg.noise_placement == "batch"
+    chunk = models.chunk_size(params)
+    extents = params.layer_extents
+    dtype = params.flat.dtype
+    sum_clipped = np.empty(params.dim, dtype=dtype)
+    clipped_views = models.gradient_views(params, sum_clipped)
 
     records = []
     step = start_step
-    dtype = params.flat.dtype
     batch_size = dtype.type(cfg.effective_batch)
     for batch in batches:
         if len(batch) != cfg.effective_batch:
@@ -359,40 +401,35 @@ def train_epoch(
                 f"batch of {len(batch)} examples does not match effective batch "
                 f"{cfg.effective_batch}"
             )
-        sum_clipped = np.zeros(params.dim, dtype=dtype)
-        noise_total = np.zeros(params.dim, dtype=dtype)
-        # Each example's clipped + noise, summed on its own: adding the two totals
-        # after the loop would round differently in f32 and move the step's bytes.
-        sum_noised = np.zeros(params.dim, dtype=dtype) if per_example_noise else sum_clipped
+        sum_clipped.fill(0)
         loss_sum = 0.0
-        for position, index in enumerate(batch):
-            loss, grad = models.per_example_gradient(spec, params, examples[index], labels[index])
-            if stage_partition is not None:
-                grad = replace(grad, stage_partition=stage_partition)
-            clipped = clip_gradient(grad, cfg).values
-            loss_sum += loss
-            sum_clipped += clipped
-            if per_example_noise:
-                noise = sample_noise(_reused_noise_stream(cfg.seed, step, position),
-                                     params.dim, dtype, per_example_std)
-                noise_total += noise
-                sum_noised += clipped + noise
+        for start in range(0, len(batch), chunk):
+            rows = batch[start : start + chunk]
+            losses, grads = models.example_gradients(spec, params, examples[rows], labels[rows])
+            sq_norms = np.array([layer_grads.sq_norms() for layer_grads in grads])
+            _check_finite_norms(sq_norms, step, start, extents)
+            factors = clip_factors(np.add.reduceat(sq_norms, slice_starts), bound, dtype)
+            models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
+            loss_sum += float(losses.sum())
 
-        mean_grad = sum_noised / batch_size
-        if batch_noise:
-            noise = sample_noise(
-                noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX),
+        noise_total = np.zeros(params.dim, dtype=dtype)
+        if per_example_noise:
+            for position in range(len(batch)):
+                noise_total += sample_noise(_reused_noise_stream(cfg.seed, step, position),
+                                            params.dim, dtype, per_example_std)
+        elif batch_noise:
+            noise_total += sample_noise(
+                _reused_noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX),
                 params.dim, dtype, cfg.noise_multiplier * cfg.clip_norm,
             )
-            noise_total += noise
-            mean_grad += noise / batch_size
+        mean_grad = (sum_clipped + noise_total) / batch_size
 
-        params, opt_state = sgd_step(params, FlatGradient(mean_grad, params.layer_extents), lr, opt_state)
+        params, opt_state = sgd_step(params, FlatGradient(mean_grad, extents), lr, opt_state)
         step += 1
         epsilon = accountant_hook(step) if accountant_hook is not None else float("inf")
         record = record_step(
-            FlatGradient(sum_clipped, params.layer_extents),
-            FlatGradient(noise_total, params.layer_extents),
+            FlatGradient(sum_clipped, extents),
+            FlatGradient(noise_total, extents),
             step=step,
             epoch=epoch,
             lr=lr,

@@ -1,10 +1,10 @@
-"""Desk-scale model definitions with per-example forward/backward.
+"""Desk-scale model definitions with batched per-example forward/backward.
 
 A ModelSpec is an ordered list of layer descriptors; build_model turns it
 into a ParamSet whose parameters live in one flat vector so the privacy
-engine can clip and noise gradients as plain vectors. Per-example
-gradients share no state across calls: the gradient of example x never
-depends on any other example.
+engine can clip and noise gradients as plain vectors. Every layer runs a
+batch at once, but per-example gradients share no state: the gradient of
+example x never depends on any other example in its batch.
 """
 
 from __future__ import annotations
@@ -89,6 +89,9 @@ class ParamSet:
     flat: np.ndarray
     layouts: tuple
     spec: ModelSpec
+    # Bytes one example holds in tapes and parameter gradients (build_model
+    # measures it); 0 if unknown, which runs every batch as one chunk.
+    example_bytes: int = 0
 
     def __post_init__(self):
         self._layout_by_layer = {lay.layer_index: lay for lay in self.layouts}
@@ -104,27 +107,23 @@ class ParamSet:
     def layout_for(self, layer_index: int) -> ParamLayout:
         return self._layout_by_layer[layer_index]
 
-    def views(self, layout: ParamLayout) -> dict:
-        flat = self.flat
+    def views(self, layout: ParamLayout, flat: np.ndarray | None = None) -> dict:
+        """Name -> shaped view of one layer's parameters in flat (default: self.flat)."""
+        flat = self.flat if flat is None else flat
         return {
             name: flat[offset : offset + size].reshape(shape)
             for name, shape, offset, size in layout.params
         }
 
 
-def _group_norm_forward(layer: LayerSpec, x: np.ndarray, p: dict):
-    # ops.group_norm_forward takes a batch: give it a batch of one.
-    y, tape = ops.group_norm_forward(x[None], p["gamma"], p["beta"], layer.groups)
-    return y[0], tape
-
-
 def _no_params(layer, in_shape):
     return []
 
 
-# kind -> (parameter shapes given the input shape, forward of one example).
-# ops.backward_layer runs the backward. Forwards look their ops function up
-# at call time, so wrappers set on ops (a tracer, a test) see every call.
+# kind -> (parameter shapes given one example's input shape, forward of a
+# batch). ops.backward_layer runs the backward. Forwards look their ops
+# function up at call time, so wrappers set on ops (a tracer, a test) see
+# every call.
 LAYER_KINDS = {
     "linear": (
         lambda layer, s: [("weight", (layer.out_features, s[0])), ("bias", (layer.out_features,))],
@@ -137,11 +136,19 @@ LAYER_KINDS = {
         ],
         lambda layer, x, p: ops.conv2d_forward(x, p["weight"], p["bias"], layer.stride, layer.padding),
     ),
-    "group_norm": (lambda layer, s: [("gamma", (s[0],)), ("beta", (s[0],))], _group_norm_forward),
+    "group_norm": (
+        lambda layer, s: [("gamma", (s[0],)), ("beta", (s[0],))],
+        lambda layer, x, p: ops.group_norm_forward(x, p["gamma"], p["beta"], layer.groups),
+    ),
     "relu": (_no_params, lambda layer, x, p: ops.relu_forward(x)),
     "max_pool": (_no_params, lambda layer, x, p: ops.max_pool_forward(x, layer.size)),
     "flatten": (_no_params, lambda layer, x, p: ops.flatten_forward(x)),
 }
+
+# Bytes of tapes and per-example gradients one chunk of a batch may hold:
+# small enough that a 3x32x32 CNN runs one example per chunk, large enough
+# that an MLP runs a batch of hundreds as one chunk.
+CHUNK_BYTES = 2 << 20
 
 
 def _layer_kind(idx: int, layer: LayerSpec) -> tuple:
@@ -158,17 +165,19 @@ def _layer_kind(idx: int, layer: LayerSpec) -> tuple:
 def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
     """Initialize parameters: He fan-in scaling for weights, zeros for
     biases, gamma=1 / beta=0 for norms. Deterministic given the seed.
-    Shapes come from running each layer's forward once on zeros."""
+    Shapes, and the bytes one example holds, come from running each
+    layer's forward once on a batch of one zero example."""
     rng = np.random.default_rng([int(seed), 1])
     layouts = []
     chunks = []
     offset = 0
-    x = np.zeros(spec.input_shape, dtype=dtype)
+    example_bytes = 0
+    x = np.zeros((1, *spec.input_shape), dtype=dtype)
     for idx, layer in enumerate(spec.layers):
         param_shapes, forward = _layer_kind(idx, layer)
         entries = []
         start = offset
-        for name, shape in param_shapes(layer, x.shape):
+        for name, shape in param_shapes(layer, x.shape[1:]):
             size = int(np.prod(shape))
             if name == "weight":
                 fan_in = int(np.prod(shape[1:]))
@@ -183,19 +192,25 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
         if entries:
             layouts.append(ParamLayout(idx, start, offset - start, tuple(entries)))
         try:
-            x, _ = forward(layer, x, {name: np.zeros(shape, dtype) for name, shape, _, _ in entries})
+            x, tape = forward(layer, x, {name: np.zeros(shape, dtype) for name, shape, _, _ in entries})
         except (ConfigurationError, ShapeError) as exc:
             raise type(exc)(f"layer {idx}: {exc}") from exc
-    if x.shape != (spec.num_classes,):
-        raise ShapeError(f"model output shape {x.shape} does not match num_classes {spec.num_classes}")
+        example_bytes += tape.example_nbytes
+    if x.shape != (1, spec.num_classes):
+        raise ShapeError(f"model output shape {x.shape[1:]} does not match num_classes {spec.num_classes}")
     flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
-    return ParamSet(flat=flat, layouts=tuple(layouts), spec=spec)
+    return ParamSet(flat=flat, layouts=tuple(layouts), spec=spec, example_bytes=example_bytes)
 
 
-def _forward(spec: ModelSpec, params: ParamSet, example: np.ndarray):
-    if tuple(example.shape) != spec.input_shape:
-        raise ShapeError(f"example shape {example.shape} does not match model input {spec.input_shape}")
-    x = example.astype(params.flat.dtype, copy=False)
+def chunk_size(params: ParamSet) -> int:
+    """Examples per chunk: as many as CHUNK_BYTES holds, at least one."""
+    return max(1, CHUNK_BYTES // max(1, params.example_bytes))
+
+
+def _forward(spec: ModelSpec, params: ParamSet, examples: np.ndarray):
+    if tuple(examples.shape[1:]) != spec.input_shape:
+        raise ShapeError(f"example shape {examples.shape[1:]} does not match model input {spec.input_shape}")
+    x = examples.astype(params.flat.dtype, copy=False)
     tapes = []
     for idx, layer in enumerate(spec.layers):
         layout = params._layout_by_layer.get(idx)
@@ -207,37 +222,64 @@ def _forward(spec: ModelSpec, params: ParamSet, example: np.ndarray):
 
 
 def forward_logits(spec: ModelSpec, params: ParamSet, example: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(spec, params, example)
-    return logits
+    logits, _ = _forward(spec, params, example[None])
+    return logits[0]
+
+
+def example_gradients(spec: ModelSpec, params: ParamSet, examples: np.ndarray, labels: np.ndarray):
+    """Per-example losses and parameter gradients of a batch.
+
+    Returns (losses, grads): losses is float64 (b,), and grads holds one
+    ops.LinearGrads or ops.StackedGrads per entry of params.layouts, in
+    order. No value in example i's row depends on another example.
+    """
+    labels = np.asarray(labels)
+    if labels.size and not (0 <= labels.min() and labels.max() < spec.num_classes):
+        raise ValueError(f"label out of range [0, {spec.num_classes}): {labels}")
+    logits, tapes = _forward(spec, params, examples)
+    losses, upstream = ops.softmax_cross_entropy(logits, labels)
+    grads = []
+    for tape in reversed(tapes):
+        upstream, layer_grads = ops.backward_layer(tape, upstream)
+        if layer_grads is not None:
+            grads.append(layer_grads)
+    return losses, grads[::-1]
+
+
+def gradient_views(params: ParamSet, flat: np.ndarray) -> list:
+    """For each entry of params.layouts, shaped views of flat (laid out like
+    params.flat) for each of the layer's parameters."""
+    return [list(params.views(layout, flat).values()) for layout in params.layouts]
+
+
+def add_weighted_sums(views: list, grads: list, factors: np.ndarray) -> None:
+    """views[l] += sum_i factors[l, i] * (example i's gradient of layer l)."""
+    for layer_views, layer_grads, layer_factors in zip(views, grads, factors):
+        for view, total in zip(layer_views, layer_grads.weighted_sum(layer_factors)):
+            view += total
 
 
 def per_example_gradient(spec: ModelSpec, params: ParamSet, example: np.ndarray, label: int):
-    """Loss and flattened gradient of the single-example loss.
+    """Loss and flattened gradient of the single-example loss: a batch of
+    one through example_gradients.
 
     The flattening order is identical to the ParamSet layout; per-layer
     extents are recorded so the gradient can be clipped layer- or
     stage-wise later.
     """
-    if not 0 <= int(label) < spec.num_classes:
-        raise ValueError(f"label {label} out of range [0, {spec.num_classes})")
-    logits, tapes = _forward(spec, params, example)
-    loss, upstream = ops.softmax_cross_entropy(logits, int(label))
+    losses, grads = example_gradients(spec, params, example[None], np.array([label]))
     grad = np.zeros(params.dim, dtype=params.flat.dtype)
-    for idx, tape in reversed(list(enumerate(tapes))):
-        # Group norm's tape has a batch axis of one: match each tape's shape.
-        upstream, param_grads = ops.backward_layer(tape, upstream.reshape(tape.output_shape))
-        layout = params._layout_by_layer.get(idx)
-        if layout is not None:
-            for (name, shape, offset, size), g in zip(layout.params, param_grads):
-                grad[offset : offset + size] = g.reshape(-1)
+    add_weighted_sums(gradient_views(params, grad), grads, np.ones((len(grads), 1), dtype=grad.dtype))
     from .engine import FlatGradient
 
-    return loss, FlatGradient(values=grad, layer_extents=params.layer_extents)
+    return float(losses[0]), FlatGradient(values=grad, layer_extents=params.layer_extents)
 
 
 def evaluate_accuracy(spec: ModelSpec, params: ParamSet, examples: np.ndarray, labels: np.ndarray) -> float:
+    """Share of examples whose argmax logit is the label, forwarded in chunks."""
+    step = chunk_size(params)
     correct = 0
-    for x, y in zip(examples, labels):
-        logits = forward_logits(spec, params, x)
-        correct += int(np.argmax(logits)) == int(y)
+    for start in range(0, len(labels), step):
+        logits, _ = _forward(spec, params, examples[start : start + step])
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == labels[start : start + step]))
     return correct / len(labels)

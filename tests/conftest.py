@@ -1,11 +1,26 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and small model specs for the test suite.
 
-These stay deliberately naive (loops, direct statistics, central
+The oracles stay deliberately naive (loops, direct statistics, central
 differences) so they cannot share a bug with the implementation paths
 they check.
 """
 
 import numpy as np
+
+from dpsgd import models
+
+
+def tiny_cnn_spec():
+    """Small enough for finite differences, still conv + group_norm + pool."""
+    layers = (
+        models.LayerSpec("conv2d", out_channels=4, kernel=3, stride=1, padding=1),
+        models.LayerSpec("group_norm", groups=2),
+        models.LayerSpec("relu"),
+        models.LayerSpec("max_pool", size=2),
+        models.LayerSpec("flatten"),
+        models.LayerSpec("linear", out_features=3),
+    )
+    return models.ModelSpec(layers, (2, 4, 4), 3)
 
 
 def matmul_oracle(a, b):

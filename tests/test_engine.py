@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import tiny_cnn_spec
 
-from dpsgd import data, engine, models
+from dpsgd import data, engine, metrics, models
 from dpsgd.engine import DpConfig, FlatGradient, OptimizerState
 from dpsgd.errors import ConfigurationError, NonFiniteGradientError, ProtocolError
 
@@ -364,8 +367,9 @@ class TestTrainEpoch:
         assert a == b
 
     def test_per_example_noise_step_matches_noise_per_example_oracle(self):
-        # The step that train_epoch takes is exactly the accumulated mean of
-        # clip -> noise_per_example on each example's (seed, step, position) stream.
+        # The step that train_epoch takes is the accumulated mean of clip ->
+        # noise_per_example on each example's (seed, step, position) stream, to
+        # 1e-12 relative; its noise total is exactly the in-order sum of the draws.
         spec, params, ds = self.setup_problem(dtype=np.float64)
         reference = models.ParamSet(params.flat.copy(), params.layouts, spec)
         cfg = DpConfig(clip_norm=0.5, noise_multiplier=1.3, grad_acc_count=4, seed=5)
@@ -379,10 +383,13 @@ class TestTrainEpoch:
             grad = models.per_example_gradient(spec, reference, ds.examples[index], ds.labels[index])[1]
             clipped = engine.clip_gradient(grad, cfg)
             noised.append(engine.noise_per_example(clipped, cfg, engine.noise_stream(5, 3, position)))
-            noise_sum += noised[-1].values - clipped.values
-        want = reference.flat - engine.accumulate(iter(noised), 4).values
-        assert np.array_equal(params.flat, want)
-        assert records[0].noise_norm == pytest.approx(np.linalg.norm(noise_sum), rel=1e-12)
+            noise_sum += engine.sample_noise(
+                engine.noise_stream(5, 3, position), params.dim, params.flat.dtype, engine._per_example_std(cfg)
+            )
+        want = engine.accumulate(iter(noised), 4).values
+        taken = reference.flat - params.flat
+        assert np.linalg.norm(taken - want) <= 1e-12 * np.linalg.norm(want)
+        assert records[0].noise_norm == float(np.linalg.norm(noise_sum))
 
     def test_degenerate_dp_equals_non_private_trajectory_bitwise(self):
         private = DpConfig(clip_norm=1e9, noise_multiplier=0.0, grad_acc_count=4, seed=5)
@@ -425,6 +432,133 @@ class TestTrainEpoch:
         )
         # sum of clipped gradients is at most |B| * C
         assert all(r.grad_norm <= 4 * 1.0 * (1 + 1e-6) for r in records)
+
+
+def relative_error(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestBatchedPath:
+    """The chunked, batched training step against one-example-at-a-time oracles."""
+
+    B = 7
+
+    def problem(self, which, dtype=np.float64):
+        spec = models.mlp_spec(6, [16, 8], 3) if which == "mlp" else tiny_cnn_spec()
+        params = models.build_model(spec, seed=21, dtype=dtype)
+        rng = np.random.default_rng(21)
+        examples = rng.standard_normal((self.B, *spec.input_shape)).astype(dtype)
+        labels = rng.integers(0, spec.num_classes, size=self.B)
+        return spec, params, examples, labels
+
+    def step(self, spec, params, examples, labels, cfg, monkeypatch=None):
+        """Run one step at lr 1 without momentum; return the step taken, the record,
+        and the clipped and noise totals record_step received."""
+        seen = {}
+        if monkeypatch is not None:
+            record_step = metrics.record_step
+
+            def spy(sum_clipped, noise_total, **kwargs):
+                seen.update(sum_clipped=sum_clipped.values.copy(), noise_total=noise_total.values.copy())
+                return record_step(sum_clipped, noise_total, **kwargs)
+
+            monkeypatch.setattr(metrics, "record_step", spy)
+        before = params.flat.copy()
+        state = OptimizerState(np.zeros(params.dim, dtype=params.flat.dtype), momentum=0.0)
+        params, _, records = engine.train_epoch(
+            spec, params, examples, labels, [np.arange(self.B)], cfg, 1.0, state,
+        )
+        return before - params.flat, records[0], seen
+
+    @pytest.mark.parametrize("placement", ["per_example", "batch"])
+    @pytest.mark.parametrize("mode", ["global", "per_layer", "per_stage"])
+    @pytest.mark.parametrize("which", ["mlp", "cnn"])
+    def test_step_matches_per_example_clip_oracle(self, which, mode, placement, monkeypatch):
+        spec, params, examples, labels = self.problem(which)
+        reference = models.ParamSet(params.flat.copy(), params.layouts, spec)
+        oracle = [models.per_example_gradient(spec, reference, x, y) for x, y in zip(examples, labels)]
+        partition = engine.build_stage_partition(params.layer_extents, 2)
+        # C at which each example starts to be clipped; their median clips some but not all.
+        slices = {"global": ((0, params.dim),), "per_layer": params.layer_extents, "per_stage": partition}[mode]
+        onsets = [
+            np.sqrt(len(slices)) * max(np.linalg.norm(g.values[o : o + n]) for o, n in slices) for _, g in oracle
+        ]
+        clip_norm = float(np.median(onsets))
+        cfg = DpConfig(
+            clip_norm=clip_norm, noise_multiplier=1.1, mode=mode, num_stages=2,
+            grad_acc_count=self.B, noise_placement=placement, seed=4,
+        )
+        clipped = [engine.clip_gradient(replace(g, stage_partition=partition), cfg).values for _, g in oracle]
+        scaled = [not np.array_equal(c, g.values) for c, (_, g) in zip(clipped, oracle)]
+        assert any(scaled) and not all(scaled)
+
+        taken, record, seen = self.step(spec, params, examples, labels, cfg, monkeypatch)
+        want_sum = np.sum(clipped, axis=0)
+        assert relative_error(seen["sum_clipped"], want_sum) <= 1e-12
+        assert record.loss == pytest.approx(np.mean([loss for loss, _ in oracle]), rel=1e-12)
+
+        dtype = params.flat.dtype
+        if placement == "per_example":
+            want_noise = np.zeros(params.dim)
+            for position in range(self.B):
+                want_noise += engine.sample_noise(
+                    engine.noise_stream(4, 0, position), params.dim, dtype, engine._per_example_std(cfg)
+                )
+        else:
+            want_noise = engine.sample_noise(
+                engine.noise_stream(4, 0, 0xFFFFFFFF), params.dim, dtype, 1.1 * clip_norm
+            )
+        assert np.array_equal(seen["noise_total"], want_noise)
+        assert relative_error(taken, (want_sum + want_noise) / self.B) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["mlp", "cnn"])
+    def test_no_leakage_across_examples_of_a_batch(self, which):
+        # Scaling example j by 100 leaves every other example's per-layer squared
+        # norms and clip factor bit-identical.
+        spec, params, examples, labels = self.problem(which, dtype=np.float32)
+
+        def norms_and_factors(xs):
+            _, grads = models.example_gradients(spec, params, xs, labels)
+            sq_norms = np.stack([g.sq_norms() for g in grads], axis=1)
+            return sq_norms, engine.clip_factors(sq_norms.sum(axis=1), 0.5, np.float32)
+
+        sq_before, factors_before = norms_and_factors(examples)
+        for j in (0, 3, self.B - 1):
+            poked = examples.copy()
+            poked[j] *= 100.0
+            sq_after, factors_after = norms_and_factors(poked)
+            others = np.arange(self.B) != j
+            assert np.array_equal(sq_before[others], sq_after[others])
+            assert np.array_equal(factors_before[others], factors_after[others])
+            assert not np.array_equal(sq_before[j], sq_after[j])
+
+    @pytest.mark.parametrize("which", ["mlp", "cnn"])
+    def test_chunk_size_does_not_move_the_step(self, which, monkeypatch):
+        spec, params, examples, labels = self.problem(which)
+        cfg = DpConfig(clip_norm=0.3, noise_multiplier=0.7, mode="per_layer", grad_acc_count=self.B, seed=9)
+        steps = {}
+        for chunk in (1, 3, self.B):
+            monkeypatch.setattr(models, "CHUNK_BYTES", chunk * params.example_bytes)
+            assert models.chunk_size(params) == chunk
+            run = models.ParamSet(params.flat.copy(), params.layouts, spec, params.example_bytes)
+            steps[chunk] = self.step(spec, run, examples, labels, cfg)[0]
+        for chunk in (1, 3):
+            assert relative_error(steps[chunk], steps[self.B]) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_non_finite_example_named_by_batch_position(self, chunk, monkeypatch):
+        spec, params, examples, labels = self.problem("mlp", dtype=np.float32)
+        monkeypatch.setattr(models, "CHUNK_BYTES", chunk * params.example_bytes)
+        examples[2, 1] = np.nan
+        before = params.flat.copy()
+        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), momentum=0.9)
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=self.B, seed=1)
+        with pytest.raises(NonFiniteGradientError, match=r"step 5, batch position 2, layer 0 \(offset 0"):
+            engine.train_epoch(
+                spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state, start_step=5,
+            )
+        assert np.array_equal(params.flat, before)
+        assert state.step == 0 and not state.velocity.any()
 
 
 class TestDpConfigValidation:

@@ -5,23 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import finite_difference_gradient, max_relative_error
+from conftest import finite_difference_gradient, max_relative_error, tiny_cnn_spec
 
 from dpsgd import models, ops
 from dpsgd.errors import ConfigurationError, PrivacyViolationError, ShapeError
-
-
-def tiny_cnn_spec():
-    """Small enough for finite differences, still conv + group_norm + pool."""
-    layers = (
-        models.LayerSpec("conv2d", out_channels=4, kernel=3, stride=1, padding=1),
-        models.LayerSpec("group_norm", groups=2),
-        models.LayerSpec("relu"),
-        models.LayerSpec("max_pool", size=2),
-        models.LayerSpec("flatten"),
-        models.LayerSpec("linear", out_features=3),
-    )
-    return models.ModelSpec(layers, (2, 4, 4), 3)
 
 
 class TestBuildModel:
@@ -170,6 +157,21 @@ def test_evaluate_accuracy_counts_argmax_matches():
     examples = np.array([[3, 0, 0, 0], [0, 3, 0, 0], [3, 0, 0, 0]], dtype=np.float32)
     labels = np.array([0, 1, 1])
     assert models.evaluate_accuracy(spec, params, examples, labels) == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("which", ["mlp", "cnn"])
+def test_batched_evaluation_equals_per_example_argmax_count(which, monkeypatch):
+    spec = models.mlp_spec(6, [5], 3) if which == "mlp" else tiny_cnn_spec()
+    params = models.build_model(spec, seed=8)
+    rng = np.random.default_rng(8)
+    examples = rng.standard_normal((20, *spec.input_shape)).astype(np.float32)
+    labels = rng.integers(0, 3, size=20)
+    count = sum(int(np.argmax(models.forward_logits(spec, params, x))) == y for x, y in zip(examples, labels))
+    assert 0 < count < 20
+    for chunk in (1, 7, 20):
+        monkeypatch.setattr(models, "CHUNK_BYTES", chunk * params.example_bytes)
+        assert models.chunk_size(params) == chunk
+        assert models.evaluate_accuracy(spec, params, examples, labels) == count / 20
 
 
 def test_traced_functions_exist_and_see_every_layer_call(monkeypatch):

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from conftest import (
@@ -113,22 +115,25 @@ def valid_extents(kernel, stride, padding):
 @pytest.mark.parametrize("kernel", [2, 3])
 @pytest.mark.parametrize("channels", [1, 3, 32])
 def test_unfold_and_fold_equal_loop_references(channels, kernel, stride, padding):
+    # A batch of two: every example's rows must equal the one-example references.
     h, w = valid_extents(kernel, stride, padding)
     rng = np.random.default_rng([channels, kernel, stride, padding])
     for dtype in (np.float32, np.float64):
-        x = rng.standard_normal((channels, h, w)).astype(dtype)
+        x = rng.standard_normal((2, channels, h, w)).astype(dtype)
         k = rng.standard_normal((4, channels, kernel, kernel)).astype(dtype)
         cols, _, _ = ops._im2col(x, kernel, kernel, stride, padding)
         assert cols.dtype == dtype
-        assert np.array_equal(cols, im2col_loop(x, kernel, kernel, stride, padding))
+        for i in range(2):
+            assert np.array_equal(cols[i], im2col_loop(x[i], kernel, kernel, stride, padding))
 
         y, tape = ops.conv2d_forward(x, k, np.zeros(4, dtype=dtype), stride, padding)
         up = rng.standard_normal(y.shape).astype(dtype)
         d_x, _ = ops.backward_layer(tape, up)
-        d_cols = np.matmul(k.reshape(4, -1).T, up.reshape(4, -1))
-        want = fold_loop(d_cols, x.shape, kernel, kernel, stride, padding)
         assert d_x.dtype == dtype
-        assert np.array_equal(d_x, want)
+        for i in range(2):
+            d_cols = np.matmul(k.reshape(4, -1).T, up[i].reshape(4, -1))
+            want = fold_loop(d_cols, x[i].shape, kernel, kernel, stride, padding)
+            assert np.array_equal(d_x[i], want)
 
 
 class TestGroupNorm:
@@ -166,41 +171,66 @@ class TestGroupNorm:
 class TestBackwardLayer:
     def test_linear_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         w, b = rng.standard_normal((3, 5)), rng.standard_normal(3)
         _, tape = ops.linear_forward(x, w, b)
-        d_x, (d_w, d_b) = ops.backward_layer(tape, np.zeros(3))
+        d_x, grads = ops.backward_layer(tape, np.zeros((1, 3)))
+        d_w, d_b = grads.weighted_sum(np.ones(1))
         assert not d_x.any() and not d_w.any() and not d_b.any()
+        assert not grads.sq_norms().any()
 
     def test_scalar_relu_chain_matches_hand_derivative(self):
         # y = relu(w * x) with w = 2, x = 3: dy/dw = x, dy/dx = w
         w = np.array([[2.0]])
-        x = np.array([3.0])
+        x = np.array([[3.0]])
         h, lin_tape = ops.linear_forward(x, w, np.zeros(1))
         y, relu_tape = ops.relu_forward(h)
-        up, _ = ops.backward_layer(relu_tape, np.ones(1))
-        d_x, (d_w, d_b) = ops.backward_layer(lin_tape, up)
+        up, _ = ops.backward_layer(relu_tape, np.ones((1, 1)))
+        d_x, grads = ops.backward_layer(lin_tape, up)
+        d_w, d_b = grads.weighted_sum(np.ones(1))
         assert d_w[0, 0] == pytest.approx(3.0)
-        assert d_x[0] == pytest.approx(2.0)
+        assert d_x[0, 0] == pytest.approx(2.0)
         assert d_b[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_ghost_norms_match_explicit_outer_products(self, dtype):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((5, 7)).astype(dtype)
+        w, b = rng.standard_normal((4, 7)).astype(dtype), rng.standard_normal(4).astype(dtype)
+        _, tape = ops.linear_forward(x, w, b)
+        up = rng.standard_normal((5, 4)).astype(dtype)
+        _, grads = ops.backward_layer(tape, up)
+        wide_x, wide_up = x.astype(np.float64), up.astype(np.float64)
+        explicit = [np.concatenate([np.outer(u, xi).ravel(), u]) for u, xi in zip(wide_up, wide_x)]
+        sq_norms = grads.sq_norms()
+        assert sq_norms.dtype == np.float64
+        np.testing.assert_allclose(sq_norms, [np.dot(g, g) for g in explicit], rtol=1e-13)
+
+        factors = rng.uniform(0.0, 1.0, 5).astype(dtype)
+        d_w, d_b = grads.weighted_sum(factors)
+        want = sum(f * g for f, g in zip(factors.astype(np.float64), explicit))
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(d_w.ravel(), want[:-4], rtol=tol)
+        np.testing.assert_allclose(d_b, want[-4:], rtol=tol)
+
     def test_upstream_shape_mismatch_rejected(self):
-        _, tape = ops.linear_forward(np.zeros(4), np.zeros((2, 4)), np.zeros(2))
+        _, tape = ops.linear_forward(np.zeros((1, 4)), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ShapeError):
-            ops.backward_layer(tape, np.zeros(3))
+            ops.backward_layer(tape, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("case", ["linear", "conv", "conv_stride2_pad0", "group_norm", "max_pool"])
     def test_layer_gradients_match_finite_differences(self, case):
-        rng = np.random.default_rng(hash(case) % 2**31)
+        # A batch of one; crc32, unlike the salted str hash, is the same in every process.
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
         if case == "linear":
-            x = rng.standard_normal(6)
+            x = rng.standard_normal((1, 6))
             w = rng.standard_normal((4, 6))
             b = rng.standard_normal(4)
             params = [w, b]
             forward = lambda: ops.linear_forward(x, w, b)
         elif case.startswith("conv"):
             stride, padding = (2, 0) if case == "conv_stride2_pad0" else (1, 1)
-            x = rng.standard_normal((2, 5, 5))
+            x = rng.standard_normal((1, 2, 5, 5))
             w = rng.standard_normal((3, 2, 3, 3)) * 0.5
             b = rng.standard_normal(3)
             params = [w, b]
@@ -212,7 +242,7 @@ class TestBackwardLayer:
             params = [w, b]
             forward = lambda: ops.group_norm_forward(x, w, b, groups=2)
         else:
-            x = rng.standard_normal((2, 4, 4))
+            x = rng.standard_normal((1, 2, 4, 4))
             params = []
             forward = lambda: ops.max_pool_forward(x, 2)
 
@@ -225,7 +255,8 @@ class TestBackwardLayer:
             return float((out * weights).sum())
 
         _, tape = forward()
-        grads_analytic = ops.backward_layer(tape, weights)[1]
+        grads = ops.backward_layer(tape, weights)[1]
+        grads_analytic = grads.weighted_sum(np.ones(1)) if grads is not None else []
         d_x_analytic = ops.backward_layer(forward()[1], weights)[0]
 
         for analytic, array in zip(grads_analytic, params):
@@ -240,38 +271,38 @@ class TestBackwardLayer:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_loss_is_log_classes(self):
-        loss, grad = ops.softmax_cross_entropy(np.zeros(10), 3)
-        assert loss == pytest.approx(np.log(10))
-        assert grad[3] == pytest.approx(0.1 - 1.0)
+        loss, grad = ops.softmax_cross_entropy(np.zeros((1, 10)), np.array([3]))
+        assert loss[0] == pytest.approx(np.log(10))
+        assert grad[0, 3] == pytest.approx(0.1 - 1.0)
 
     def test_finite_for_extreme_logits(self):
         for logits in (np.array([1e6, -1e6, 0.0]), np.array([-1e8, -1e8, -1e8])):
-            loss, grad = ops.softmax_cross_entropy(logits, 1)
-            assert np.isfinite(loss)
+            loss, grad = ops.softmax_cross_entropy(logits[None], np.array([1]))
+            assert np.isfinite(loss).all()
             assert np.isfinite(grad).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        logits = rng.standard_normal(6)
-        _, grad = ops.softmax_cross_entropy(logits, 2)
+        logits = rng.standard_normal((1, 6))
+        _, grad = ops.softmax_cross_entropy(logits, np.array([2]))
 
         def objective():
-            return ops.softmax_cross_entropy(logits, 2)[0]
+            return ops.softmax_cross_entropy(logits, np.array([2]))[0][0]
 
-        fd = finite_difference_gradient(objective, logits)
-        assert max_relative_error(grad, fd) < 1e-4
+        fd = finite_difference_gradient(objective, logits.reshape(-1))
+        assert max_relative_error(grad.reshape(-1), fd) < 1e-4
 
 
 def test_forward_backward_deterministic():
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((2, 6, 6))
+    x = rng.standard_normal((1, 2, 6, 6))
     k = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    up = rng.standard_normal((3, 6, 6))
+    up = rng.standard_normal((1, 3, 6, 6))
     y1, t1 = ops.conv2d_forward(x, k, b, 1, 1)
     y2, t2 = ops.conv2d_forward(x, k, b, 1, 1)
     assert np.array_equal(y1, y2)
     g1 = ops.backward_layer(t1, up)
     g2 = ops.backward_layer(t2, up)
     assert np.array_equal(g1[0], g2[0])
-    assert all(np.array_equal(a, b) for a, b in zip(g1[1], g2[1]))
+    assert all(np.array_equal(a, b) for a, b in zip(g1[1].grads, g2[1].grads))
