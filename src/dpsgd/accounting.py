@@ -13,8 +13,11 @@ standard deviation on the batch-summed gradient is sigma * C.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,55 +40,109 @@ class RdpCurve:
         return cls(tuple(orders), np.zeros(len(orders)))
 
 
-def _log_binomial(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _order(alpha) -> int:
+    """alpha as an int; an order must be an integer >= 2 (numpy integers included)."""
+    try:
+        order = operator.index(alpha)
+    except TypeError:
+        order = 0
+    if order < 2:
+        raise ConfigurationError(f"order must be an integer >= 2, got {alpha}")
+    return order
 
 
-def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
-    """Renyi divergence of order alpha for one subsampled Gaussian step.
+class _Expansion(NamedTuple):
+    """Every order's terms k = 0..alpha, concatenated in order."""
 
-    For q < 1 this evaluates, in log space,
+    k: np.ndarray
+    alpha_minus_k: np.ndarray
+    k_pairs: np.ndarray  # k (k - 1)
+    log_binomial: np.ndarray  # lgamma(alpha + 1) - lgamma(k + 1) - lgamma(alpha - k + 1)
+    starts: np.ndarray  # offset of each order's first term
+    lengths: np.ndarray  # alpha + 1 terms per order
+    bounds: tuple  # (start, stop) of each order's terms
+
+
+@functools.lru_cache(maxsize=32)
+def _expansion(orders: tuple) -> _Expansion:
+    """Index arrays for an order tuple, built once and shared read-only between calls."""
+    lengths = np.array(orders, dtype=np.intp) + 1
+    starts = np.cumsum(lengths) - lengths
+    alpha = np.repeat(lengths - 1, lengths)
+    k = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(max(orders, default=0) + 1)])
+    expansion = _Expansion(
+        k.astype(float),
+        (alpha - k).astype(float),
+        (k * (k - 1)).astype(float),
+        log_factorial[alpha] - log_factorial[k] - log_factorial[alpha - k],
+        starts,
+        lengths,
+        tuple(zip(starts.tolist(), (starts + lengths).tolist())),
+    )
+    for array in expansion[:-1]:
+        array.setflags(write=False)
+    return expansion
+
+
+def _overflow(q, sigma, alpha) -> AccountingError:
+    return AccountingError(
+        f"subsampled Gaussian divergence overflowed at q={q}, sigma={sigma}, alpha={alpha}"
+    )
+
+
+def per_step_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> RdpCurve:
+    """Renyi divergence of one subsampled Gaussian step at every order.
+
+    For q < 1 each order alpha evaluates, in log space,
 
         (1 / (alpha - 1)) * log( sum_{k=0..alpha} binom(alpha, k)
             * (1 - q)^(alpha - k) * q^k * exp(k (k - 1) / (2 sigma^2)) )
 
-    and for q = 1 it returns the plain Gaussian value alpha / (2 sigma^2).
+    and for q = 1 it is the plain Gaussian value alpha / (2 sigma^2).
+    The terms of all orders are computed in one float64 array pass, with the
+    same operands in the same order as a per-term scalar loop, so the values
+    are bitwise those of that loop (kept in the tests as the reference).
     """
     if not 0.0 < q <= 1.0:
         raise ConfigurationError(f"sampling ratio must satisfy 0 < q <= 1, got {q}")
     if not sigma > 0.0:
         raise ConfigurationError(f"noise multiplier must be positive for accounting, got {sigma}")
-    alpha = int(alpha)
-    if alpha < 2:
-        raise ConfigurationError(f"order must be an integer >= 2, got {alpha}")
+    orders = tuple(map(_order, orders))
+    terms = _expansion(orders)
     pair_exponent = 1.0 / (2.0 * sigma * sigma) if sigma * sigma > 0.0 else math.inf
-    if not math.isfinite(pair_exponent) or not math.isfinite(pair_exponent * alpha * alpha):
-        raise AccountingError(
-            f"subsampled Gaussian divergence overflowed at q={q}, sigma={sigma}, alpha={alpha}"
-        )
+    overflowed = [alpha for alpha in orders if not math.isfinite(pair_exponent * alpha * alpha)]
+    if overflowed:
+        raise _overflow(q, sigma, overflowed[0])
     if q == 1.0:
-        return alpha * pair_exponent
-    log_q = math.log(q)
-    log_1mq = math.log1p(-q)
-    log_terms = np.array([
-        _log_binomial(alpha, k)
-        + (alpha - k) * log_1mq
-        + k * log_q
-        + k * (k - 1) * pair_exponent
-        for k in range(alpha + 1)
-    ])
-    peak = log_terms.max()
-    log_sum = peak + math.log(np.exp(log_terms - peak).sum())
-    value = log_sum / (alpha - 1)
-    if not math.isfinite(value):
-        raise AccountingError(
-            f"subsampled Gaussian divergence overflowed at q={q}, sigma={sigma}, alpha={alpha}"
+        values = np.array(orders, dtype=float) * pair_exponent
+    else:
+        log_terms = (
+            terms.log_binomial
+            + terms.alpha_minus_k * math.log1p(-q)
+            + terms.k * math.log(q)
+            + terms.k_pairs * pair_exponent
         )
-    return value
+        # Per-order peaks and one exp; each order then sums its own slice, so
+        # the pairwise blocking of .sum() matches a standalone per-order array.
+        peaks = np.maximum.reduceat(log_terms, terms.starts)
+        scaled = np.exp(log_terms - np.repeat(peaks, terms.lengths))
+        values = np.array([
+            (peak + math.log(scaled[start:stop].sum())) / (alpha - 1)
+            for peak, (start, stop), alpha in zip(peaks.tolist(), terms.bounds, orders)
+        ])
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _overflow(q, sigma, orders[int(np.argmin(finite))])
+    return RdpCurve(orders, values)
 
 
-def per_step_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> RdpCurve:
-    return RdpCurve(tuple(orders), np.array([rdp_subsampled_gaussian(q, sigma, a) for a in orders]))
+def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
+    """Renyi divergence of order alpha for one subsampled Gaussian step.
+
+    The one-order case of per_step_curve, which gives the formula.
+    """
+    return float(per_step_curve(q, sigma, (alpha,)).values[0])
 
 
 def compose(curve: RdpCurve, per_step: RdpCurve, steps: int) -> RdpCurve:
@@ -99,6 +156,14 @@ def compose(curve: RdpCurve, per_step: RdpCurve, steps: int) -> RdpCurve:
     return RdpCurve(curve.orders, curve.values + steps * per_step.values)
 
 
+@functools.lru_cache(maxsize=32)
+def _conversion_penalties(orders: tuple, delta: float) -> np.ndarray:
+    """log(1 / delta) / (order - 1) per order, built once and shared read-only."""
+    penalties = math.log(1.0 / delta) / (np.asarray(orders, dtype=float) - 1.0)
+    penalties.setflags(write=False)
+    return penalties
+
+
 def to_epsilon(curve: RdpCurve, delta: float):
     """Best (epsilon, order) over the grid for the given delta.
 
@@ -109,9 +174,7 @@ def to_epsilon(curve: RdpCurve, delta: float):
         raise ConfigurationError("order grid is empty")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    log_inv_delta = math.log(1.0 / delta)
-    orders = np.asarray(curve.orders, dtype=float)
-    candidates = curve.values + log_inv_delta / (orders - 1.0)
+    candidates = curve.values + _conversion_penalties(tuple(curve.orders), delta)
     best = int(np.argmin(candidates))
     return max(float(candidates[best]), 0.0), curve.orders[best]
 

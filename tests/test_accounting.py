@@ -1,4 +1,9 @@
+import importlib.util
+import itertools
 import math
+import re
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +11,17 @@ import pytest
 
 from dpsgd import accounting
 from dpsgd.accounting import RdpCurve
-from dpsgd.errors import ConfigurationError
+from dpsgd.errors import AccountingError, ConfigurationError
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, for its account_grid query generator."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through sys.modules
+    spec.loader.exec_module(module)
+    return module
 
 
 def rdp_binomial_oracle(q, sigma, alpha, dps=60):
@@ -22,6 +37,113 @@ def rdp_binomial_oracle(q, sigma, alpha, dps=60):
                 * mp.e ** (mp.mpf(k * (k - 1)) / (2 * s_**2))
             )
         return float(mp.log(total) / (alpha - 1))
+
+
+def _log_binomial(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def rdp_loop_reference(q, sigma, alpha):
+    """The scalar per-term loop that per_step_curve's array pass must equal bitwise."""
+    if not 0.0 < q <= 1.0:
+        raise ConfigurationError(f"sampling ratio must satisfy 0 < q <= 1, got {q}")
+    if not sigma > 0.0:
+        raise ConfigurationError(f"noise multiplier must be positive for accounting, got {sigma}")
+    alpha = int(alpha)
+    if alpha < 2:
+        raise ConfigurationError(f"order must be an integer >= 2, got {alpha}")
+    pair_exponent = 1.0 / (2.0 * sigma * sigma) if sigma * sigma > 0.0 else math.inf
+    if not math.isfinite(pair_exponent) or not math.isfinite(pair_exponent * alpha * alpha):
+        raise AccountingError(
+            f"subsampled Gaussian divergence overflowed at q={q}, sigma={sigma}, alpha={alpha}"
+        )
+    if q == 1.0:
+        return alpha * pair_exponent
+    log_q = math.log(q)
+    log_1mq = math.log1p(-q)
+    log_terms = np.array([
+        _log_binomial(alpha, k)
+        + (alpha - k) * log_1mq
+        + k * log_q
+        + k * (k - 1) * pair_exponent
+        for k in range(alpha + 1)
+    ])
+    peak = log_terms.max()
+    log_sum = peak + math.log(np.exp(log_terms - peak).sum())
+    value = log_sum / (alpha - 1)
+    if not math.isfinite(value):
+        raise AccountingError(
+            f"subsampled Gaussian divergence overflowed at q={q}, sigma={sigma}, alpha={alpha}"
+        )
+    return value
+
+
+def loop_curve(q, sigma, orders):
+    return np.array([rdp_loop_reference(q, sigma, a) for a in orders])
+
+
+class TestArrayPassMatchesLoop:
+    ORDER_SETS = [accounting.DEFAULT_ORDERS, (17,), (2, 3, 10, 64, 200)]
+
+    def test_account_grid_queries_bitwise(self):
+        queries = _benchmark_workloads().account_queries
+        pairs = {
+            (batch / n, float(f"{sigma:.3f}"))
+            for seed in (1, 2)
+            for n, batch, sigma, _ in queries(seed, 600)
+        }
+        assert len(pairs) > 1000
+        for q, sigma in sorted(pairs):
+            got = accounting.per_step_curve(q, sigma).values
+            assert np.array_equal(got, loop_curve(q, sigma, accounting.DEFAULT_ORDERS)), (q, sigma)
+
+    @pytest.mark.parametrize("orders", ORDER_SETS, ids=["default", "single", "custom"])
+    def test_q_sigma_grid_bitwise(self, orders):
+        for q, sigma in itertools.product((1e-6, 1e-3, 0.5, 0.999, 1.0), (0.3, 0.6, 3.0, 10.0)):
+            curve = accounting.per_step_curve(q, sigma, orders)
+            assert curve.orders == tuple(orders)
+            assert np.array_equal(curve.values, loop_curve(q, sigma, orders)), (q, sigma)
+            for alpha, value in zip(orders, curve.values):
+                assert accounting.rdp_subsampled_gaussian(q, sigma, alpha) == value
+
+    @pytest.mark.parametrize(
+        "q, sigma, orders",
+        [
+            (0.0, 1.0, (2, 3)),
+            (1.1, 1.0, (2, 3)),
+            (-0.5, 1.0, (2,)),
+            (0.5, 0.0, (2, 3)),
+            (0.5, -1.0, (2,)),
+            (0.5, 1.0, (1,)),
+            (0.5, 1.0, (4, 0)),
+            (0.5, 1e-300, accounting.DEFAULT_ORDERS),
+            (1.0, 1e-300, (64,)),
+            (0.5, 1e-154, (2, 512)),
+        ],
+    )
+    def test_errors_match_the_loop(self, q, sigma, orders):
+        with pytest.raises((ConfigurationError, AccountingError)) as want:
+            loop_curve(q, sigma, orders)
+        with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
+            accounting.per_step_curve(q, sigma, orders)
+        with pytest.raises(want.type):
+            accounting.rdp_subsampled_gaussian(q, sigma, orders[-1])
+
+
+class TestOrders:
+    @pytest.mark.parametrize("bad", [2.5, 2.9, 3.0, "4", None])
+    def test_non_integer_order_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match=f"got {bad}"):
+            accounting.per_step_curve(0.01, 1.0, orders=(2, bad))
+        with pytest.raises(ConfigurationError, match=f"got {bad}"):
+            accounting.rdp_subsampled_gaussian(0.01, 1.0, bad)
+
+    def test_numpy_integers_accepted(self):
+        ints = accounting.per_step_curve(0.01, 1.0, orders=(2, 5, 64))
+        numpy_ints = accounting.per_step_curve(0.01, 1.0, orders=np.array([2, 5, 64]))
+        assert numpy_ints.orders == ints.orders
+        assert np.array_equal(numpy_ints.values, ints.values)
+        assert accounting.rdp_subsampled_gaussian(0.01, 1.0, np.int32(5)) == ints.values[1]
 
 
 class TestRdpSubsampledGaussian:
@@ -140,6 +262,16 @@ class TestToEpsilon:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
             accounting.to_epsilon(RdpCurve((), np.zeros(0)), 1e-5)
+
+    def test_repeated_calls_match_the_direct_formula(self):
+        orders = accounting.DEFAULT_ORDERS
+        step = accounting.per_step_curve(0.02, 1.0)
+        for delta, steps in itertools.product((1e-5, 1e-3, 0.5), (1, 500, 1)):
+            curve = accounting.compose(RdpCurve.zeros(), step, steps)
+            candidates = curve.values + math.log(1.0 / delta) / (np.asarray(orders, dtype=float) - 1.0)
+            best = int(np.argmin(candidates))
+            want = (max(float(candidates[best]), 0.0), orders[best])
+            assert accounting.to_epsilon(curve, delta) == want, (delta, steps)
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ConfigurationError):
