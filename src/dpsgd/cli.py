@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import config as config_mod
@@ -13,7 +14,9 @@ from . import experiment
 from .errors import ConfigurationError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than an account query."""
     parser = argparse.ArgumentParser(
         prog="dpsgd",
         description="Differentially private SGD training and batch-size study harness.",

@@ -11,8 +11,9 @@ normal transform.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +42,6 @@ class FlatGradient:
     @property
     def dim(self) -> int:
         return self.values.size
-
-
-def _check_extents(extents, dim: int, what: str) -> None:
-    if not extents:
-        raise ConfigurationError(f"{what} missing from gradient")
-    cursor = 0
-    for offset, length in extents:
-        if offset != cursor or length < 0:
-            raise ConfigurationError(f"{what} do not tile [0, {dim}) in order: {extents}")
-        cursor += length
-    if cursor != dim:
-        raise ConfigurationError(f"{what} cover {cursor} of {dim} coordinates")
 
 
 @dataclass(frozen=True)
@@ -110,36 +99,42 @@ def clip_factors(sq_norms: np.ndarray, bound: float, dtype) -> np.ndarray:
     return np.divide(bound, norms, out=np.ones_like(norms), where=over)
 
 
-def _clip_slice(values: np.ndarray, bound: float) -> np.ndarray | None:
-    """Scaled copy if the slice exceeds the bound, else None (leave as is)."""
-    wide = values.astype(np.float64, copy=False)
-    factor = clip_factors(np.dot(wide, wide), bound, values.dtype)
-    if factor == 1.0:
-        return None
-    return values * values.dtype.type(factor)
+def slice_clip_factors(unit_sq_norms: np.ndarray, slice_starts, bound: float, dtype) -> np.ndarray:
+    """The one clip rule: clip_factors of the slices that begin at slice_starts,
+    from float64 squared norms per unit along axis 0. The units are layers in
+    training and coordinates in the one-example clip functions."""
+    return clip_factors(np.add.reduceat(unit_sq_norms, slice_starts), bound, dtype)
+
+
+def _clip_extents(gradient: FlatGradient, extents, clip_norm: float, what: str) -> FlatGradient:
+    """Clip each of the k (offset, length) extents to L2 norm clip_norm / sqrt(k).
+
+    Returns the input itself if no extent exceeds its bound. The extents must
+    tile [0, d) in order. Empty ones are dropped from the sums, as reduceat
+    would give them the next coordinate's value."""
+    if not extents:
+        raise ConfigurationError(f"{what} missing from gradient")
+    bound = clip_norm / np.sqrt(len(extents))
+    offsets, lengths = np.array(extents, dtype=np.intp).T
+    if (lengths < 0).any() or (offsets != np.cumsum(lengths) - lengths).any():
+        raise ConfigurationError(f"{what} do not tile [0, {gradient.dim}) in order: {extents}")
+    if lengths.sum() != gradient.dim:
+        raise ConfigurationError(f"{what} cover {lengths.sum()} of {gradient.dim} coordinates")
+    nonempty = lengths > 0
+    dtype = gradient.values.dtype
+    wide = gradient.values.astype(np.float64, copy=False)
+    factors = slice_clip_factors(wide * wide, offsets[nonempty], bound, dtype)
+    if (factors == 1.0).all():
+        return gradient
+    scale = np.repeat(factors.astype(dtype), lengths[nonempty])
+    return FlatGradient(gradient.values * scale, gradient.layer_extents, gradient.stage_partition)
 
 
 def clip_global(gradient: FlatGradient, clip_norm: float) -> FlatGradient:
     """Scale the whole gradient to L2 norm clip_norm if it exceeds it."""
     if not clip_norm > 0:
         raise ConfigurationError(f"clip_norm must be positive, got {clip_norm}")
-    scaled = _clip_slice(gradient.values, clip_norm)
-    if scaled is None:
-        return gradient
-    return replace(gradient, values=scaled)
-
-
-def _clip_partition(gradient: FlatGradient, extents, bound: float) -> FlatGradient:
-    out = None
-    for offset, length in extents:
-        scaled = _clip_slice(gradient.values[offset : offset + length], bound)
-        if scaled is not None:
-            if out is None:
-                out = gradient.values.copy()
-            out[offset : offset + length] = scaled
-    if out is None:
-        return gradient
-    return replace(gradient, values=out)
+    return _clip_extents(gradient, ((0, gradient.dim),), clip_norm, "extent")
 
 
 def clip_per_layer(gradient: FlatGradient, clip_norm: float) -> FlatGradient:
@@ -148,9 +143,7 @@ def clip_per_layer(gradient: FlatGradient, clip_norm: float) -> FlatGradient:
     The per-slice budget makes the total norm at most clip_norm by the
     Pythagorean identity, without any cross-layer norm exchange.
     """
-    _check_extents(gradient.layer_extents, gradient.dim, "layer extents")
-    num_layers = len(gradient.layer_extents)
-    return _clip_partition(gradient, gradient.layer_extents, clip_norm / np.sqrt(num_layers))
+    return _clip_extents(gradient, gradient.layer_extents, clip_norm, "layer extents")
 
 
 def clip_per_stage(gradient: FlatGradient, clip_norm: float, num_stages: int) -> FlatGradient:
@@ -161,8 +154,7 @@ def clip_per_stage(gradient: FlatGradient, clip_norm: float, num_stages: int) ->
         raise ConfigurationError(
             f"stage partition has {len(gradient.stage_partition)} parts, expected {num_stages}"
         )
-    _check_extents(gradient.stage_partition, gradient.dim, "stage partition")
-    return _clip_partition(gradient, gradient.stage_partition, clip_norm / np.sqrt(num_stages))
+    return _clip_extents(gradient, gradient.stage_partition, clip_norm, "stage partition")
 
 
 def clip_gradient(gradient: FlatGradient, cfg: DpConfig) -> FlatGradient:
@@ -224,19 +216,22 @@ def _reused_noise_stream(seed: int, step: int, example_index: int) -> np.random.
     """noise_stream on a per-thread reused bit generator.
 
     Identical draws to noise_stream, without a fresh bit generator per call.
-    Only valid until the next call on the same thread, so callers must
-    finish drawing before requesting another stream.
+    Each thread keeps one Philox, a state dict read from it once when fresh,
+    and a Generator on it. A call writes the stream key into the dict in place
+    and assigns the dict, which also resets the counter to 0, buffer_pos to 4
+    (empty buffer) and has_uint32 and uinteger to 0 (no buffered 32-bit half):
+    nothing else writes the dict, so it keeps those fresh values. The Philox
+    state is never read back. The generator is valid until the next call on
+    the same thread, so callers must finish drawing before requesting another.
     """
-    key = _stream_key(seed, step, example_index)
-    bit_gen = getattr(_stream_pool, "bit_gen", None)
-    if bit_gen is None:
-        bit_gen = _stream_pool.bit_gen = np.random.Philox(key=key)
-        return np.random.Generator(bit_gen)
-    state = bit_gen.state
-    state["state"].update(key=key, counter=np.zeros(4, dtype=np.uint64))
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    kept = getattr(_stream_pool, "kept", None)
+    if kept is None:
+        bit_gen = np.random.Philox(key=0)
+        kept = _stream_pool.kept = (bit_gen, bit_gen.state, np.random.Generator(bit_gen))
+    bit_gen, state, generator = kept
+    state["state"]["key"][:] = _stream_key(seed, step, example_index)
     bit_gen.state = state
-    return np.random.Generator(bit_gen)
+    return generator
 
 
 def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float) -> np.ndarray:
@@ -245,7 +240,7 @@ def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float) -> np.
 
 def _per_example_std(cfg: DpConfig) -> float:
     """Per-coordinate noise std sigma C / sqrt(|B|): |B| such draws sum to variance sigma^2 C^2."""
-    return cfg.noise_multiplier * cfg.clip_norm / np.sqrt(cfg.effective_batch)
+    return cfg.noise_multiplier * cfg.clip_norm / math.sqrt(cfg.effective_batch)
 
 
 def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Generator) -> FlatGradient:
@@ -254,7 +249,7 @@ def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Gene
     if cfg.noise_multiplier == 0.0:
         return gradient
     noise = sample_noise(rng, gradient.dim, gradient.values.dtype, _per_example_std(cfg))
-    return replace(gradient, values=gradient.values + noise)
+    return FlatGradient(gradient.values + noise, gradient.layer_extents, gradient.stage_partition)
 
 
 def accumulate(contributions, batch_size: int) -> FlatGradient:
@@ -277,7 +272,8 @@ def accumulate(contributions, batch_size: int) -> FlatGradient:
             total += contribution.values
     if count != batch_size or total is None:
         raise ProtocolError(f"accumulate received {count} contributions, expected {batch_size}")
-    return replace(template, values=total / template.values.dtype.type(batch_size))
+    mean = total / template.values.dtype.type(batch_size)
+    return FlatGradient(mean, template.layer_extents, template.stage_partition)
 
 
 def _first_nonfinite_layer(gradient: FlatGradient) -> str:
@@ -408,7 +404,7 @@ def train_epoch(
             losses, grads = models.example_gradients(spec, params, examples[rows], labels[rows])
             sq_norms = np.array([layer_grads.sq_norms() for layer_grads in grads])
             _check_finite_norms(sq_norms, step, start, extents)
-            factors = clip_factors(np.add.reduceat(sq_norms, slice_starts), bound, dtype)
+            factors = slice_clip_factors(sq_norms, slice_starts, bound, dtype)
             models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
             loss_sum += float(losses.sum())
 

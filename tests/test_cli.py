@@ -268,6 +268,22 @@ class TestAccountCommand:
 
         assert eps(2.0) < eps(1.0)
 
+    def test_bad_arguments_leave_later_calls_unchanged(self, capsys):
+        # Three calls in one process share one parser: a valid query, bad
+        # arguments, then the valid query again.
+        argv = [
+            "account", "--n", "50000", "--batch", "512", "--sigma", "1.0",
+            "--epochs", "3", "--delta", "1e-5",
+        ]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["account", "--n", "many", "--sigma", "1.0"])
+        assert exited.value.code == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_invalid_parameters_exit_2(self, capsys):
         assert cli.main([
             "account", "--n", "100", "--batch", "200", "--sigma", "1.0",

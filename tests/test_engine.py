@@ -80,15 +80,22 @@ class TestClipPerLayer:
             assert np.linalg.norm(out.values[offset : offset + length]) <= 1.0 * (1 + 1e-9)
 
     def test_total_norm_against_slicewise_oracle(self):
-        rng = np.random.default_rng(4)
-        extents = split_extents(15, 3)
-        g = flat(rng.standard_normal(15) * 100, layers=extents)
-        out = engine.clip_per_layer(g, 1.5)
-        oracle_sq = sum(
-            min(np.linalg.norm(g.values[o : o + n]), 1.5 / np.sqrt(3)) ** 2 for o, n in extents
-        )
-        assert np.linalg.norm(out.values) == pytest.approx(np.sqrt(oracle_sq), rel=1e-9)
-        assert np.linalg.norm(out.values) <= 1.5 * (1 + 1e-6)
+        # Empty layers at the start, in the middle and at the end are no-ops
+        # that still count towards L.
+        for extents in (
+            split_extents(15, 3),
+            ((0, 0), (0, 5), (5, 5), (10, 5)),
+            ((0, 5), (5, 0), (5, 10)),
+            ((0, 5), (5, 10), (15, 0)),
+            ((0, 0), (0, 7), (7, 0), (7, 8), (15, 0)),
+        ):
+            rng = np.random.default_rng(4)
+            g = flat(rng.standard_normal(15) * 100, layers=extents)
+            out = engine.clip_per_layer(g, 1.5)
+            bound = 1.5 / np.sqrt(len(extents))
+            oracle_sq = sum(min(np.linalg.norm(g.values[o : o + n]), bound) ** 2 for o, n in extents)
+            assert np.linalg.norm(out.values) == pytest.approx(np.sqrt(oracle_sq), rel=1e-9), extents
+            assert np.linalg.norm(out.values) <= 1.5 * (1 + 1e-6), extents
 
     def test_never_increases_slice_norms(self):
         rng = np.random.default_rng(5)
@@ -183,14 +190,26 @@ class TestNoise:
         assert not np.array_equal(a.values, c.values)
 
     def test_reused_stream_draws_like_fresh_stream(self):
-        # f32 draws consume 32-bit halves and can leave one buffered, so each
-        # reuse must reset the cached generator fully.
+        # f32 draws consume 32-bit halves and can leave one buffered, and every
+        # draw moves the counter and the output buffer, so each reuse must reset
+        # the cached generator fully. The dtype order flips from key to key, so
+        # that f32 and f64 draws each follow both f32 and f64 draws.
         keys = [(0, 0, 0), (99, 5, 2), (2**64 - 1, 12, 3), (7, 2**31, 0xFFFFFFFF), (99, 5, 2)]
-        for seed, step, index in keys:
-            for dtype in (np.float32, np.float64):
-                fresh = engine.noise_stream(seed, step, index).standard_normal(33, dtype=dtype)
-                reused = engine._reused_noise_stream(seed, step, index).standard_normal(33, dtype=dtype)
-                assert np.array_equal(fresh, reused), (seed, step, index, dtype)
+        for length in (1, 33, 4810):
+            for i, key in enumerate(keys):
+                for dtype in (np.float32, np.float64)[:: 1 if i % 2 == 0 else -1]:
+                    fresh = engine.noise_stream(*key).standard_normal(length, dtype=dtype)
+                    reused = engine._reused_noise_stream(*key).standard_normal(length, dtype=dtype)
+                    assert np.array_equal(fresh, reused), (length, key, dtype)
+        # A generator from noise_stream is its own: reusing streams meanwhile
+        # does not move it.
+        held = engine.noise_stream(3, 1, 4)
+        first = held.standard_normal(5, dtype=np.float32)
+        engine._reused_noise_stream(3, 1, 4).standard_normal(7, dtype=np.float32)
+        engine._reused_noise_stream(8, 2, 0).standard_normal(3)
+        rest = held.standard_normal(6, dtype=np.float32)
+        want = engine.noise_stream(3, 1, 4).standard_normal(11, dtype=np.float32)
+        assert np.array_equal(np.concatenate([first, rest]), want)
 
     def test_per_coordinate_variance_parameter(self):
         # sigma=1, C=1, |B|=4: each draw has per-coordinate variance 0.25.
@@ -409,6 +428,27 @@ class TestTrainEpoch:
         _, b = self.run_once(batch)
         assert a != b
         assert all(r.noise_norm > 0 for r in b)
+
+    @pytest.mark.parametrize("placement", ["per_example", "batch"])
+    def test_module_attribute_hooks_see_every_step_and_draw(self, placement, monkeypatch):
+        # The benchmark times steps and counts draws by replacing these module
+        # attributes, so train_epoch must look each one up when it calls it.
+        calls = dict.fromkeys(("sgd_step", "_reused_noise_stream", "sample_noise", "draws"), 0)
+        for name in ("sgd_step", "_reused_noise_stream", "sample_noise"):
+            def counted(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+                calls[_name] += 1
+                if _name == "sample_noise":
+                    calls["draws"] += int(args[1])
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, noise_placement=placement, seed=5)
+        params, records = self.run_once(cfg)
+        streams_per_step = 4 if placement == "per_example" else 1
+        assert len(records) == 3
+        assert calls["sgd_step"] == 3
+        assert calls["_reused_noise_stream"] == calls["sample_noise"] == 3 * streams_per_step
+        assert calls["draws"] == 3 * streams_per_step * params.dim
 
     def test_wrong_batch_size_is_protocol_error(self):
         spec, params, ds = self.setup_problem()
