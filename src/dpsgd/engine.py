@@ -63,7 +63,7 @@ class DpConfig:
     def __post_init__(self):
         if not self.clip_norm > 0:
             raise ConfigurationError(f"clip_norm: must be positive, got {self.clip_norm}")
-        if self.noise_multiplier < 0:
+        if not self.noise_multiplier >= 0:
             raise ConfigurationError(f"noise_multiplier: must be >= 0, got {self.noise_multiplier}")
         if self.mode not in CLIP_MODES:
             raise ConfigurationError(f"mode: must be one of {CLIP_MODES}, got {self.mode!r}")
@@ -112,6 +112,8 @@ def _clip_extents(gradient: FlatGradient, extents, clip_norm: float, what: str) 
     Returns the input itself if no extent exceeds its bound. The extents must
     tile [0, d) in order. Empty ones are dropped from the sums, as reduceat
     would give them the next coordinate's value."""
+    if not clip_norm > 0:
+        raise ConfigurationError(f"clip_norm must be positive, got {clip_norm}")
     if not extents:
         raise ConfigurationError(f"{what} missing from gradient")
     bound = clip_norm / np.sqrt(len(extents))
@@ -132,8 +134,6 @@ def _clip_extents(gradient: FlatGradient, extents, clip_norm: float, what: str) 
 
 def clip_global(gradient: FlatGradient, clip_norm: float) -> FlatGradient:
     """Scale the whole gradient to L2 norm clip_norm if it exceeds it."""
-    if not clip_norm > 0:
-        raise ConfigurationError(f"clip_norm must be positive, got {clip_norm}")
     return _clip_extents(gradient, ((0, gradient.dim),), clip_norm, "extent")
 
 

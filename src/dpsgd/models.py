@@ -121,9 +121,9 @@ def _no_params(layer, in_shape):
 
 
 # kind -> (parameter shapes given one example's input shape, forward of a
-# batch). ops.backward_layer runs the backward. Forwards look their ops
-# function up at call time, so wrappers set on ops (a tracer, a test) see
-# every call.
+# batch). The ops forward returns a tape holding the layer's backward, which
+# ops.backward_layer runs. Forwards look their ops function up at call time,
+# so wrappers set on ops (a tracer, a test) see every call.
 LAYER_KINDS = {
     "linear": (
         lambda layer, s: [("weight", (layer.out_features, s[0])), ("bias", (layer.out_features,))],

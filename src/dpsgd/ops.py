@@ -2,15 +2,17 @@
 
 All functions are pure: they take numpy arrays, return new arrays, and are
 safe to call concurrently. Layer forwards take a batch with a leading
-axis and return a LayerTape; backward_layer() dispatches on the tape kind
-and returns each example's parameter gradients, which never mix examples.
+axis and return a LayerTape holding the layer's backward, defined next to
+its forward; backward_layer() runs it and returns each example's parameter
+gradients, which never mix examples.
 Arrays are row-major float32 or float64; the dtype of the input decides the
 dtype of every intermediate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,26 +22,19 @@ from .errors import ConfigurationError, ShapeError
 
 @dataclass
 class LayerTape:
-    """Saved forward state for one layer's backward pass over a batch.
+    """One layer's backward pass over the batch its forward ran.
 
-    `saved` holds per-example arrays, each with a leading batch axis;
-    `shared` holds what every example shares (weights, stride, ...).
-    `grad_nbytes` is what the backward keeps of one example's parameter
-    gradients until the clip factors are known. Single-use: backward_layer
-    must only run against the forward call that produced the tape.
+    `backward(upstream)` returns what backward_layer returns. It closes over
+    only the arrays it reads, so the tape keeps no more of the forward's
+    arrays alive. `example_nbytes` is what one example holds in those arrays
+    and in its parameter gradients until the clip factors are known.
+    Single-use: the backward belongs to the forward call that produced it.
     """
 
     kind: str
-    input_shape: tuple
     output_shape: tuple
-    saved: dict = field(default_factory=dict)
-    shared: dict = field(default_factory=dict)
-    grad_nbytes: int = 0
-
-    @property
-    def example_nbytes(self) -> int:
-        """Bytes one example holds in this tape and in its parameter gradients."""
-        return sum(a.nbytes for a in self.saved.values()) // self.input_shape[0] + self.grad_nbytes
+    backward: Callable
+    example_nbytes: int = 0
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -137,9 +132,12 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     if x.ndim != 2 or weight.ndim != 2 or weight.shape[1] != x.shape[1]:
         raise ShapeError(f"linear expects weight (out, in) against x (b, in): {weight.shape} vs {x.shape}")
     y = x @ weight.T + bias
+
+    def backward(upstream):
+        return upstream @ weight, LinearGrads(upstream, x)
+
     # The bias gradient delta_i is all that is kept per example (ghost norms).
-    tape = LayerTape("linear", x.shape, y.shape, {"x": x}, {"weight": weight}, bias.nbytes)
-    return y, tape
+    return y, LayerTape("linear", y.shape, backward, x[:1].nbytes + bias.nbytes)
 
 
 def conv2d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
@@ -150,15 +148,24 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
     cols, h_out, w_out = _im2col(x, kh, kw, stride, padding)
     y = (np.matmul(kernels.reshape(c_out, -1), cols) + bias[:, None]).reshape(len(x), c_out, h_out, w_out)
-    tape = LayerTape(
-        "conv2d",
-        x.shape,
-        y.shape,
-        {"cols": cols},
-        {"kernels": kernels, "stride": stride, "padding": padding},
-        kernels.nbytes + bias.nbytes,
-    )
-    return y, tape
+    b, _, h, w = x.shape
+
+    def backward(upstream):
+        up = upstream.reshape(b, c_out, h_out * w_out)
+        d_k = np.matmul(up, cols.transpose(0, 2, 1)).reshape(b, *kernels.shape)
+        d_b = up.sum(axis=2)
+        d_cols = np.matmul(kernels.reshape(c_out, -1).T, up)
+        d_xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=upstream.dtype)
+        # Each input element receives its (i, j) terms in the same order as
+        # a per-channel loop would add them, so the sums are bit-identical.
+        d_cols = d_cols.reshape(b, c_in, kh, kw, h_out, w_out)
+        for i in range(kh):
+            for j in range(kw):
+                d_xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d_cols[:, :, i, j]
+        d_x = d_xp[:, :, padding : padding + h, padding : padding + w] if padding else d_xp
+        return d_x, StackedGrads(d_k, d_b)
+
+    return y, LayerTape("conv2d", y.shape, backward, cols[:1].nbytes + kernels.nbytes + bias.nbytes)
 
 
 def group_norm_forward(
@@ -186,20 +193,25 @@ def group_norm_forward(
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     x_hat = ((grouped - mean) * inv_std).reshape(b, c, h, w)
     y = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
-    tape = LayerTape(
-        "group_norm",
-        x.shape,
-        y.shape,
-        {"x_hat": x_hat, "inv_std": inv_std},
-        {"gamma": gamma, "groups": groups},
-        gamma.nbytes + beta.nbytes,
-    )
-    return y, tape
+
+    def backward(upstream):
+        d_gamma = (upstream * x_hat).sum(axis=(2, 3))
+        d_beta = upstream.sum(axis=(2, 3))
+        gy_gamma = (upstream * gamma[None, :, None, None]).reshape(b, groups, -1)
+        x_hat_g = x_hat.reshape(b, groups, -1)
+        mean_gy = gy_gamma.mean(axis=2, keepdims=True)
+        mean_gy_xhat = (gy_gamma * x_hat_g).mean(axis=2, keepdims=True)
+        d_x = (inv_std * (gy_gamma - mean_gy - x_hat_g * mean_gy_xhat)).reshape(b, c, h, w)
+        return d_x, StackedGrads(d_gamma, d_beta)
+
+    nbytes = x_hat[:1].nbytes + inv_std[:1].nbytes + gamma.nbytes + beta.nbytes
+    return y, LayerTape("group_norm", y.shape, backward, nbytes)
 
 
 def relu_forward(x: np.ndarray):
     y = np.maximum(x, 0)
-    return y, LayerTape("relu", x.shape, y.shape, {"mask": x > 0})
+    mask = x > 0
+    return y, LayerTape("relu", y.shape, lambda upstream: (upstream * mask, None), mask[:1].nbytes)
 
 
 def max_pool_forward(x: np.ndarray, size: int = 2):
@@ -215,13 +227,21 @@ def max_pool_forward(x: np.ndarray, size: int = 2):
     )
     argmax = windows.argmax(axis=4)
     y = np.take_along_axis(windows, argmax[..., None], axis=4)[..., 0]
-    tape = LayerTape("max_pool", x.shape, y.shape, {"argmax": argmax}, {"size": size})
-    return y, tape
+
+    def backward(upstream):
+        d_windows = np.zeros((b, c, h2, w2, size * size), dtype=upstream.dtype)
+        np.put_along_axis(d_windows, argmax[..., None], upstream[..., None], axis=4)
+        d_x = d_windows.reshape(b, c, h2, w2, size, size).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+        return d_x, None
+
+    return y, LayerTape("max_pool", y.shape, backward, argmax[:1].nbytes)
 
 
 def flatten_forward(x: np.ndarray):
     y = x.reshape(len(x), -1)
-    return y, LayerTape("flatten", x.shape, y.shape)
+    # The backward reads only the shape, so the tape does not keep x alive.
+    shape = x.shape
+    return y, LayerTape("flatten", y.shape, lambda upstream: (upstream.reshape(shape), None))
 
 
 def backward_layer(tape: LayerTape, upstream: np.ndarray):
@@ -237,53 +257,7 @@ def backward_layer(tape: LayerTape, upstream: np.ndarray):
             f"backward_layer({tape.kind}): upstream shape {upstream.shape} "
             f"does not match forward output {tape.output_shape}"
         )
-    saved, shared = tape.saved, tape.shared
-    if tape.kind == "linear":
-        return upstream @ shared["weight"], LinearGrads(upstream, saved["x"])
-    if tape.kind == "conv2d":
-        cols = saved["cols"]
-        kernels = shared["kernels"]
-        stride, padding = shared["stride"], shared["padding"]
-        c_out, c_in, kh, kw = kernels.shape
-        b, _, h_out, w_out = tape.output_shape
-        up = upstream.reshape(b, c_out, h_out * w_out)
-        d_k = np.matmul(up, cols.transpose(0, 2, 1)).reshape(b, *kernels.shape)
-        d_b = up.sum(axis=2)
-        d_cols = np.matmul(kernels.reshape(c_out, -1).T, up)
-        _, _, h, w = tape.input_shape
-        d_xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=upstream.dtype)
-        # Each input element receives its (i, j) terms in the same order as
-        # a per-channel loop would add them, so the sums are bit-identical.
-        d_cols = d_cols.reshape(b, c_in, kh, kw, h_out, w_out)
-        for i in range(kh):
-            for j in range(kw):
-                d_xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d_cols[:, :, i, j]
-        d_x = d_xp[:, :, padding : padding + h, padding : padding + w] if padding else d_xp
-        return d_x, StackedGrads(d_k, d_b)
-    if tape.kind == "group_norm":
-        x_hat, inv_std = saved["x_hat"], saved["inv_std"]
-        gamma, groups = shared["gamma"], shared["groups"]
-        b, c, h, w = x_hat.shape
-        d_gamma = (upstream * x_hat).sum(axis=(2, 3))
-        d_beta = upstream.sum(axis=(2, 3))
-        gy_gamma = (upstream * gamma[None, :, None, None]).reshape(b, groups, -1)
-        x_hat_g = x_hat.reshape(b, groups, -1)
-        mean_gy = gy_gamma.mean(axis=2, keepdims=True)
-        mean_gy_xhat = (gy_gamma * x_hat_g).mean(axis=2, keepdims=True)
-        d_x = (inv_std * (gy_gamma - mean_gy - x_hat_g * mean_gy_xhat)).reshape(b, c, h, w)
-        return d_x, StackedGrads(d_gamma, d_beta)
-    if tape.kind == "relu":
-        return upstream * saved["mask"], None
-    if tape.kind == "max_pool":
-        argmax, size = saved["argmax"], shared["size"]
-        b, c, h2, w2 = tape.output_shape
-        windows = np.zeros((b, c, h2, w2, size * size), dtype=upstream.dtype)
-        np.put_along_axis(windows, argmax[..., None], upstream[..., None], axis=4)
-        d_x = windows.reshape(b, c, h2, w2, size, size).transpose(0, 1, 2, 4, 3, 5).reshape(tape.input_shape)
-        return d_x, None
-    if tape.kind == "flatten":
-        return upstream.reshape(tape.input_shape), None
-    raise ShapeError(f"unknown layer kind in tape: {tape.kind!r}")
+    return tape.backward(upstream)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

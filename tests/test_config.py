@@ -62,6 +62,11 @@ class TestParser:
             with pytest.raises(ConfigurationError, match=r"^test: dp\.num_stages: "):
                 parse(MINIMAL + f"dp.enabled = {enabled}\ndp.num_stages = 0\n")
 
+    def test_nan_noise_multiplier_rejected_at_parse_time(self):
+        for enabled in ("true", "false"):
+            with pytest.raises(ConfigurationError, match=r"^test: dp\.noise_multiplier: "):
+                parse(MINIMAL + f"dp.enabled = {enabled}\ndp.noise_multiplier = nan\n")
+
     def test_idx_source_requires_paths(self):
         with pytest.raises(ConfigurationError, match="data.images"):
             parse(MINIMAL + "data.source = idx\n")

@@ -59,8 +59,16 @@ class TestClipGlobal:
         assert np.allclose(a, b, rtol=1e-12)
 
     def test_nonpositive_clip_norm_rejected(self):
-        with pytest.raises(ConfigurationError):
-            engine.clip_global(flat([1.0]), 0.0)
+        g = flat([3.0, 4.0], layers=((0, 1), (1, 1)), stages=((0, 1), (1, 1)))
+        clips = (
+            lambda c: engine.clip_global(g, c),
+            lambda c: engine.clip_per_layer(g, c),
+            lambda c: engine.clip_per_stage(g, c, 2),
+        )
+        for clip in clips:
+            for clip_norm in (0.0, -1.0, float("nan")):
+                with pytest.raises(ConfigurationError, match="^clip_norm must be positive"):
+                    clip(clip_norm)
 
 
 class TestClipPerLayer:
@@ -607,6 +615,8 @@ class TestDpConfigValidation:
             DpConfig(clip_norm=0.0, noise_multiplier=1.0)
         with pytest.raises(ConfigurationError):
             DpConfig(clip_norm=1.0, noise_multiplier=-0.1)
+        with pytest.raises(ConfigurationError, match="^noise_multiplier: "):
+            DpConfig(clip_norm=1.0, noise_multiplier=float("nan"))
         with pytest.raises(ConfigurationError):
             DpConfig(clip_norm=1.0, noise_multiplier=1.0, mode="chunky")
         with pytest.raises(ConfigurationError):

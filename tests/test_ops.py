@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -217,6 +218,37 @@ class TestBackwardLayer:
         _, tape = ops.linear_forward(np.zeros((1, 4)), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ShapeError):
             ops.backward_layer(tape, np.zeros((1, 3)))
+
+    # (forward of x (3, 2, 6, 6) f32, one example's tape and gradient bytes)
+    TAPE_CASES = {
+        # im2col columns (2*3*3 rows x 4*4 or 6*6 positions), kernels and bias
+        "conv_pad0": (lambda x, p: ops.conv2d_forward(x, p[0], p[1], 1, 0), 1456),
+        "conv_pad1": (lambda x, p: ops.conv2d_forward(x, p[0], p[1], 1, 1), 2896),
+        # x_hat (72 values), one inv_std, gamma and beta
+        "group_norm": (lambda x, p: ops.group_norm_forward(x, p[2], p[3], 1), 308),
+        "relu": (lambda x, p: ops.relu_forward(x), 72),  # a bool mask
+        "max_pool": (lambda x, p: ops.max_pool_forward(x, 2), 144),  # int64 argmax of 2*3*3 windows
+        "flatten": (lambda x, p: ops.flatten_forward(x), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TAPE_CASES))
+    def test_tape_holds_only_what_its_backward_needs(self, case):
+        forward, example_nbytes = self.TAPE_CASES[case]
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        params = [rng.standard_normal(s).astype(np.float32) for s in ((4, 2, 3, 3), (4,), (2,), (2,))]
+        x = rng.standard_normal((3, 2, 6, 6)).astype(np.float32)
+        y, tape = forward(x, params)
+        upstream = rng.standard_normal(y.shape).astype(np.float32)
+        want_x, want_grads = ops.backward_layer(forward(x.copy(), params)[1], upstream)
+        alive = weakref.ref(x)
+        del x, y
+        assert alive() is None, f"{case}: the tape keeps the layer input alive"
+        d_x, grads = ops.backward_layer(tape, upstream)
+        assert np.array_equal(d_x, want_x)
+        if grads is not None:
+            for got, want in zip(grads.weighted_sum(np.ones(3)), want_grads.weighted_sum(np.ones(3))):
+                assert np.array_equal(got, want)
+        assert tape.example_nbytes == example_nbytes
 
     @pytest.mark.parametrize("case", ["linear", "conv", "conv_stride2_pad0", "group_norm", "max_pool"])
     def test_layer_gradients_match_finite_differences(self, case):
