@@ -198,7 +198,7 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("train.workers", "must be >= 1")
     if config["train.precision"] not in ("f32", "f64"):
         fail("train.precision", f"must be f32 or f64, got {config['train.precision']!r}")
-    if config["optimizer.base_lr"] <= 0:
+    if not config["optimizer.base_lr"] > 0:
         fail("optimizer.base_lr", "must be positive")
     if not 0.0 <= config["optimizer.momentum"] < 1.0:
         fail("optimizer.momentum", "must lie in [0, 1)")

@@ -213,7 +213,7 @@ def account_row(dataset_size: int, batch: int, sigma: float, epochs: int, delta:
     """CSV row `q,T,epsilon,best_order` for one accountant query."""
     if dataset_size < 1 or not 1 <= batch <= dataset_size:
         raise ConfigurationError(f"batch must lie in [1, {dataset_size}], got {batch}")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
     if epochs < 0:
         raise ConfigurationError(f"epochs must be >= 0, got {epochs}")

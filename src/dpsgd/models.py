@@ -239,8 +239,9 @@ def example_gradients(spec: ModelSpec, params: ParamSet, examples: np.ndarray, l
     logits, tapes = _forward(spec, params, examples)
     losses, upstream = ops.softmax_cross_entropy(logits, labels)
     grads = []
-    for tape in reversed(tapes):
-        upstream, layer_grads = ops.backward_layer(tape, upstream)
+    for index in reversed(range(len(tapes))):
+        # Layer 0's input is the data, which needs no gradient.
+        upstream, layer_grads = ops.backward_layer(tapes[index], upstream, input_grad=index > 0)
         if layer_grads is not None:
             grads.append(layer_grads)
     return losses, grads[::-1]

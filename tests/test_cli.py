@@ -299,6 +299,13 @@ class TestAccountCommand:
         ]) == 2
         capsys.readouterr()
 
+    def test_nan_sigma_is_named_as_sigma(self, capsys):
+        assert cli.main([
+            "account", "--n", "100", "--batch", "10", "--sigma", "nan",
+            "--epochs", "1", "--delta", "1e-5",
+        ]) == 2
+        assert "sigma must be positive, got nan" in capsys.readouterr().err
+
 
 class TestEpsilonDuringTraining:
     def test_epsilon_column_monotone_nondecreasing(self, tmp_path):

@@ -67,6 +67,10 @@ class TestParser:
             with pytest.raises(ConfigurationError, match=r"^test: dp\.noise_multiplier: "):
                 parse(MINIMAL + f"dp.enabled = {enabled}\ndp.noise_multiplier = nan\n")
 
+    def test_nan_base_lr_rejected_at_parse_time(self):
+        with pytest.raises(ConfigurationError, match=r"^test: optimizer\.base_lr: must be positive$"):
+            parse(MINIMAL + "optimizer.base_lr = nan\n")
+
     def test_idx_source_requires_paths(self):
         with pytest.raises(ConfigurationError, match="data.images"):
             parse(MINIMAL + "data.source = idx\n")

@@ -148,6 +148,70 @@ def test_group_norm_model_isolation_across_examples():
     assert np.array_equal(before, after)
 
 
+class CountingNumpy:
+    """numpy with a call count on matmul, to stand in for ops.np."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("which", ["mlp", "cnn"])
+def test_first_layer_builds_no_input_gradient(which, monkeypatch):
+    spec = models.mlp_spec(6, [5], 3) if which == "mlp" else tiny_cnn_spec()
+    params = models.build_model(spec, seed=9)
+    rng = np.random.default_rng(9)
+    examples = rng.standard_normal((4, *spec.input_shape)).astype(np.float32)
+    labels = rng.integers(0, 3, size=4)
+    counting = CountingNumpy()
+    monkeypatch.setattr(ops, "np", counting)
+    backward_layer = ops.backward_layer
+    calls = []
+    build_every_input_gradient = False
+
+    def recording(tape, upstream, input_grad=True):
+        before = counting.matmuls
+        d_x, grads = backward_layer(tape, upstream, input_grad or build_every_input_gradient)
+        calls.append((tape.kind, input_grad, d_x is None, counting.matmuls - before))
+        return d_x, grads
+
+    monkeypatch.setattr(ops, "backward_layer", recording)
+    losses, grads = models.example_gradients(spec, params, examples, labels)
+    first_kind = spec.layers[0].kind
+    # Layer 0 runs last and builds no input gradient: a conv runs only its
+    # kernel-gradient matmul, not the patch-gradient one.
+    assert calls[-1] == (first_kind, False, True, 1 if first_kind == "conv2d" else 0)
+    assert all(input_grad and not no_d_x for _, input_grad, no_d_x, _ in calls[:-1])
+    assert all(n == 2 for kind, _, _, n in calls[:-1] if kind == "conv2d")
+
+    build_every_input_gradient = True
+    calls.clear()
+    losses_built, grads_built = models.example_gradients(spec, params, examples, labels)
+    assert calls[-1][2] is False  # this time layer 0's input gradient was built
+    assert np.array_equal(losses, losses_built)
+    ones = np.ones(len(labels), dtype=np.float32)
+    for layer, layer_built in zip(grads, grads_built):
+        assert np.array_equal(layer.sq_norms(), layer_built.sq_norms())
+        for got, want in zip(layer.weighted_sum(ones), layer_built.weighted_sum(ones)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, dtype, chunk", [
+    ("mlp", np.float32, 2404), ("mlp", np.float64, 1248), ("cnn", np.float32, 1), ("cnn", np.float64, 1),
+])
+def test_benchmark_models_keep_their_chunk_size(kind, dtype, chunk):
+    # The benchmark's MLP 64-64-10 and CNN 3x32x32 (32, 32, 64, 64): a change
+    # to what a tape keeps must not move how many examples a chunk holds.
+    spec = models.mlp_spec(64, [64], 10) if kind == "mlp" else models.cnn_spec((3, 32, 32), (32, 32, 64, 64), 32, 10)
+    assert models.chunk_size(models.build_model(spec, seed=0, dtype=dtype)) == chunk
+
+
 def test_evaluate_accuracy_counts_argmax_matches():
     spec = models.mlp_spec(4, [], 2)
     params = models.build_model(spec, seed=6)

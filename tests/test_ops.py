@@ -137,6 +137,102 @@ def test_unfold_and_fold_equal_loop_references(channels, kernel, stride, padding
             assert np.array_equal(d_x[i], want)
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and bit pattern: unlike array_equal, -0.0 differs from +0.0."""
+    bits = f"u{a.itemsize}"
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(bits), b.view(bits))
+
+
+def max_pool_argmax(x, size):
+    """Reference pool: argmax picks each window's element, put_along_axis routes its gradient."""
+    b, c, h, w = x.shape
+    h2, w2 = h // size, w // size
+    windows = x.reshape(b, c, h2, size, w2, size).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, size * size)
+    argmax = windows.argmax(axis=4)
+    y = np.take_along_axis(windows, argmax[..., None], axis=4)[..., 0]
+
+    def backward(upstream):
+        d_windows = np.zeros((b, c, h2, w2, size * size), dtype=upstream.dtype)
+        np.put_along_axis(d_windows, argmax[..., None], upstream[..., None], axis=4)
+        return d_windows.reshape(b, c, h2, w2, size, size).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+    return y, backward
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [2, 3])
+def test_max_pool_breaks_ties_like_argmax(size, dtype):
+    rng = np.random.default_rng([size, np.dtype(dtype).itemsize])
+    shape = (3, 4, 3 * size, 4 * size)
+    relu = np.maximum(rng.standard_normal(shape), 0)
+    zero_windows = relu.copy()
+    zero_windows.reshape(3, 4, 3, size, 4, size)[:, :, ::2, :, 1::2, :] = 0
+    inputs = {
+        "post-relu zeros": relu,
+        "repeated values": rng.integers(-1, 2, shape).astype(float),
+        "whole windows of zeros": zero_windows,
+        "signed zeros": rng.choice([0.0, -0.0, -1.0], shape),
+    }
+    for name, x in inputs.items():
+        x = x.astype(dtype)
+        y, tape = ops.max_pool_forward(x, size)
+        want_y, want_backward = max_pool_argmax(x, size)
+        assert np.array_equal(y, want_y) and same_bits(y, want_y), name
+        for upstream in (rng.standard_normal(y.shape), np.full(y.shape, -1.0), np.full(y.shape, -0.0)):
+            upstream = upstream.astype(dtype)
+            d_x, grads = ops.backward_layer(tape, upstream)
+            want = want_backward(upstream)
+            assert grads is None
+            assert np.array_equal(d_x, want) and same_bits(d_x, want), name
+        # A negative upstream reaches one element per window; all others are +0.0.
+        d_x, _ = ops.backward_layer(tape, np.full(y.shape, -1.0, dtype=dtype))
+        assert np.count_nonzero(d_x) == y.size, name
+        assert not np.signbit(d_x[d_x == 0]).any(), name
+
+
+def group_norm_mean_var(x, gamma, beta, groups, eps=1e-5):
+    """Reference group norm written with mean and var; returns y and its backward."""
+    b, c, h, w = x.shape
+    grouped = x.reshape(b, groups, (c // groups) * h * w)
+    mean = grouped.mean(axis=2, keepdims=True)
+    var = grouped.var(axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    x_hat = ((grouped - mean) * inv_std).reshape(b, c, h, w)
+    y = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+
+    def backward(upstream):
+        d_gamma = (upstream * x_hat).sum(axis=(2, 3))
+        d_beta = upstream.sum(axis=(2, 3))
+        gy_gamma = (upstream * gamma[None, :, None, None]).reshape(b, groups, -1)
+        x_hat_g = x_hat.reshape(b, groups, -1)
+        mean_gy = gy_gamma.mean(axis=2, keepdims=True)
+        mean_gy_xhat = (gy_gamma * x_hat_g).mean(axis=2, keepdims=True)
+        d_x = (inv_std * (gy_gamma - mean_gy - x_hat_g * mean_gy_xhat)).reshape(b, c, h, w)
+        return d_x, (d_gamma, d_beta)
+
+    return y, backward
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, groups", [
+    ((3, 4, 5, 3), 4), ((3, 6, 5, 3), 2), ((3, 8, 4, 4), 1), ((2, 32, 16, 16), 32), ((2, 64, 8, 8), 32),
+])
+def test_group_norm_equals_mean_var_reference(shape, groups, dtype):
+    rng = np.random.default_rng([shape[1], groups, np.dtype(dtype).itemsize])
+    x = (rng.standard_normal(shape) * 3.0 + 2.0).astype(dtype)
+    gamma = rng.standard_normal(shape[1]).astype(dtype)
+    beta = rng.standard_normal(shape[1]).astype(dtype)
+    y, tape = ops.group_norm_forward(x, gamma, beta, groups)
+    want_y, want_backward = group_norm_mean_var(x, gamma, beta, groups)
+    assert np.array_equal(y, want_y) and same_bits(y, want_y)
+    upstream = rng.standard_normal(shape).astype(dtype)
+    d_x, grads = ops.backward_layer(tape, upstream)
+    want_x, want_grads = want_backward(upstream)
+    assert np.array_equal(d_x, want_x) and same_bits(d_x, want_x)
+    for got, want in zip(grads.grads, want_grads):
+        assert np.array_equal(got, want) and same_bits(got, want)
+
+
 class TestGroupNorm:
     def test_constant_input_gives_beta(self):
         x = np.full((1, 4, 2, 2), 3.7)
@@ -227,7 +323,7 @@ class TestBackwardLayer:
         # x_hat (72 values), one inv_std, gamma and beta
         "group_norm": (lambda x, p: ops.group_norm_forward(x, p[2], p[3], 1), 308),
         "relu": (lambda x, p: ops.relu_forward(x), 72),  # a bool mask
-        "max_pool": (lambda x, p: ops.max_pool_forward(x, 2), 144),  # int64 argmax of 2*3*3 windows
+        "max_pool": (lambda x, p: ops.max_pool_forward(x, 2), 72),  # a bool first-max mask over x
         "flatten": (lambda x, p: ops.flatten_forward(x), 0),
     }
 
