@@ -179,6 +179,12 @@ def to_epsilon(curve: RdpCurve, delta: float):
     return max(float(candidates[best]), 0.0), curve.orders[best]
 
 
+def epsilon_after(step_curve: RdpCurve, steps: int, delta: float):
+    """(epsilon, order) after steps compositions of step_curve. Training and the
+    account query both price a step count here, so epsilon depends on the count alone."""
+    return to_epsilon(compose(RdpCurve.zeros(step_curve.orders), step_curve, steps), delta)
+
+
 @dataclass(frozen=True)
 class PrivacySpec:
     """Everything the accountant needs to price a training run."""
@@ -233,6 +239,5 @@ def epsilon_for_training(
     if sigma == 0.0:
         return EpsilonReport(float("inf"), None, spec.sampling_ratio, steps)
     step_curve = per_step_curve(spec.sampling_ratio, sigma, spec.orders)
-    total = compose(RdpCurve.zeros(spec.orders), step_curve, steps)
-    epsilon, best_order = to_epsilon(total, delta)
+    epsilon, best_order = epsilon_after(step_curve, steps, delta)
     return EpsilonReport(epsilon, best_order, spec.sampling_ratio, steps)

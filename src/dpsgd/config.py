@@ -219,10 +219,10 @@ def build_model_spec(config: ExperimentConfig) -> models.ModelSpec:
 
 
 def build_datasets(config: ExperimentConfig):
-    """Train and eval datasets per the configured source."""
+    """Train and eval datasets per the configured source, each label in [0, model.classes)."""
     source = config["data.source"]
+    classes = config["model.classes"]
     if source == "synth":
-        classes = config["model.classes"]
         shape = tuple(config["model.input_shape"])
         train = data_mod.synth_blobs(
             classes, config["data.per_class"], shape, config["data.spread"], config["data.seed"],
@@ -232,16 +232,25 @@ def build_datasets(config: ExperimentConfig):
             classes, eval_per_class, shape, config["data.spread"], config["data.seed"] + 1,
             split="eval",
         )
-        return train, evaluation
-    if source == "idx":
+        datasets = train, evaluation
+    elif source == "idx":
         loaded = data_mod.load_idx(config["data.images"], config["data.labels"])
         if config["data.eval_images"]:
-            return loaded, data_mod.load_idx(config["data.eval_images"], config["data.eval_labels"], "eval")
-        return split_holdout(loaded)
-    loaded = data_mod.load_labeled_csv(config["data.path"])
-    if config["data.eval_path"]:
-        return loaded, data_mod.load_labeled_csv(config["data.eval_path"], "eval")
-    return split_holdout(loaded)
+            datasets = loaded, data_mod.load_idx(config["data.eval_images"], config["data.eval_labels"], "eval")
+        else:
+            datasets = split_holdout(loaded)
+    else:
+        loaded = data_mod.load_labeled_csv(config["data.path"])
+        if config["data.eval_path"]:
+            datasets = loaded, data_mod.load_labeled_csv(config["data.eval_path"], "eval")
+        else:
+            datasets = split_holdout(loaded)
+    for dataset in datasets:
+        bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels >= classes))
+        if bad.size:
+            raise ConfigurationError(f"model.classes: {dataset.source}, {dataset.split} split, row {bad[0]} "
+                                     f"(from 0): label {dataset.labels[bad[0]]} is outside [0, {classes})")
+    return datasets
 
 
 def split_holdout(loaded: data_mod.Dataset, fraction: float = 0.1):

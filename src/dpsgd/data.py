@@ -100,8 +100,11 @@ def load_labeled_csv(path, split: str = "train") -> Dataset:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != width + 1:
                 raise DataFormatError(f"{path}: line {line_no} has {len(row)} fields, expected {width + 1}")
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+            try:
+                labels.append(int(row[0]))
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
     return Dataset(
         np.asarray(rows, dtype=np.float32),
         np.asarray(labels, dtype=np.int64),

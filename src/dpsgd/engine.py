@@ -359,7 +359,6 @@ def train_epoch(
     opt_state: OptimizerState,
     *,
     epoch: int = 0,
-    start_step: int = 0,
     accountant_hook=None,
     metrics_hook=None,
     stage_layers=None,
@@ -371,8 +370,10 @@ def train_epoch(
     one clip factor per example and slice, and the factor-weighted sum added
     to the batch total. Then each example's noise is drawn in batch order,
     the mean takes one sgd step, and the accountant and metrics hooks fire
-    once. Returns the RunRecords for the epoch; a failed step leaves params
-    at the last completed step. A non-finite per-example norm raises
+    once. The step is opt_state.step, which sgd_step advances: it keys the
+    noise, and the record and the accountant hook read it after the update.
+    Returns the RunRecords for the epoch; a failed step leaves params at the
+    last completed step. A non-finite per-example norm raises
     NonFiniteGradientError naming the step, the batch position and the layer.
     """
     from .metrics import record_step
@@ -389,7 +390,6 @@ def train_epoch(
     clipped_views = models.gradient_views(params, sum_clipped)
 
     records = []
-    step = start_step
     batch_size = dtype.type(cfg.effective_batch)
     for batch in batches:
         if len(batch) != cfg.effective_batch:
@@ -403,7 +403,7 @@ def train_epoch(
             rows = batch[start : start + chunk]
             losses, grads = models.example_gradients(spec, params, examples[rows], labels[rows])
             sq_norms = np.array([layer_grads.sq_norms() for layer_grads in grads])
-            _check_finite_norms(sq_norms, step, start, extents)
+            _check_finite_norms(sq_norms, opt_state.step, start, extents)
             factors = slice_clip_factors(sq_norms, slice_starts, bound, dtype)
             models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
             loss_sum += float(losses.sum())
@@ -411,22 +411,21 @@ def train_epoch(
         noise_total = np.zeros(params.dim, dtype=dtype)
         if per_example_noise:
             for position in range(len(batch)):
-                noise_total += sample_noise(_reused_noise_stream(cfg.seed, step, position),
+                noise_total += sample_noise(_reused_noise_stream(cfg.seed, opt_state.step, position),
                                             params.dim, dtype, per_example_std)
         elif batch_noise:
             noise_total += sample_noise(
-                _reused_noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX),
+                _reused_noise_stream(cfg.seed, opt_state.step, _BATCH_STREAM_INDEX),
                 params.dim, dtype, cfg.noise_multiplier * cfg.clip_norm,
             )
         mean_grad = (sum_clipped + noise_total) / batch_size
 
         params, opt_state = sgd_step(params, FlatGradient(mean_grad, extents), lr, opt_state)
-        step += 1
-        epsilon = accountant_hook(step) if accountant_hook is not None else float("inf")
+        epsilon = accountant_hook(opt_state.step) if accountant_hook is not None else float("inf")
         record = record_step(
             FlatGradient(sum_clipped, extents),
             FlatGradient(noise_total, extents),
-            step=step,
+            step=opt_state.step,
             epoch=epoch,
             lr=lr,
             loss=loss_sum / cfg.effective_batch,

@@ -50,20 +50,13 @@ def run_id_for(cfg: config_mod.ExperimentConfig, seed: int) -> str:
     return f"{tag}_seed{seed}"
 
 
-def _make_accountant_hook(dataset_size: int, dp_cfg: engine.DpConfig, delta: float, enabled: bool):
-    """Per-step epsilon tracker; returns inf when there is no guarantee."""
-    if not enabled or dp_cfg.noise_multiplier == 0.0:
+def _make_accountant_hook(dataset_size: int, dp_cfg: engine.DpConfig, delta: float):
+    """Epsilon after a given number of steps, from one per-step curve; inf when sigma = 0."""
+    if dp_cfg.noise_multiplier == 0.0:
         return lambda step: math.inf
     ratio = dp_cfg.effective_batch / dataset_size
     step_curve = accounting.per_step_curve(ratio, dp_cfg.noise_multiplier)
-    state = {"curve": accounting.RdpCurve.zeros(step_curve.orders)}
-
-    def hook(step: int) -> float:
-        state["curve"] = accounting.compose(state["curve"], step_curve, 1)
-        epsilon, _ = accounting.to_epsilon(state["curve"], delta)
-        return epsilon
-
-    return hook
+    return lambda step: accounting.epsilon_after(step_curve, step, delta)[0]
 
 
 def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) -> RunResult:
@@ -89,11 +82,11 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
         velocity=np.zeros(params.dim, dtype=dtype),
         momentum=cfg["optimizer.momentum"],
     )
-    hook = _make_accountant_hook(train_set.size, dp_cfg, cfg["train.delta"], cfg["dp.enabled"])
+    hook = _make_accountant_hook(train_set.size, dp_cfg, cfg["train.delta"])
 
     records: list[metrics.RunRecord] = []
     epoch_accuracy: list[float] = []
-    step = 0
+    epoch_epsilon: list[float] = []
     for epoch in range(cfg["train.epochs"]):
         lr = engine.lr_schedule(
             epoch,
@@ -106,15 +99,14 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
         batches = data_mod.sample_batches(train_set, dp_cfg.effective_batch, seed, epoch)
         params, opt_state, epoch_records = engine.train_epoch(
             spec, params, train_set.examples, train_set.labels, batches, dp_cfg, lr, opt_state,
-            epoch=epoch, start_step=step,
+            epoch=epoch,
             accountant_hook=hook,
             stage_layers=cfg["dp.stage_layers"] or None,
         )
-        step += len(epoch_records)
         accuracy = models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
-        if epoch_records:
-            epoch_records[-1].accuracy = accuracy
+        epoch_records[-1].accuracy = accuracy
         epoch_accuracy.append(accuracy)
+        epoch_epsilon.append(hook(opt_state.step))
         records.extend(epoch_records)
 
     run_id = run_id_for(cfg, seed)
@@ -123,29 +115,21 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
     params_path = out_dir / f"{run_id}_params.npz"
     np.savez(params_path, flat=params.flat, seed=seed, dim=params.dim)
 
-    if epoch_accuracy:
-        final_accuracy = epoch_accuracy[-1]
-        best_epoch = int(np.argmax(epoch_accuracy))
-        best_accuracy = epoch_accuracy[best_epoch]
-        per_epoch_eps = [r.epsilon for r in records if r.accuracy is not None]
-        epsilon_at_best = per_epoch_eps[best_epoch]
-        final_epsilon = records[-1].epsilon
-    else:
-        final_accuracy = best_accuracy = models.evaluate_accuracy(
-            spec, params, eval_set.examples, eval_set.labels
+    if not epoch_accuracy:  # zero epochs: the untrained model, and no privacy spent
+        epoch_accuracy.append(
+            models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
         )
-        best_epoch = 0
-        final_epsilon = epsilon_at_best = 0.0
-
+        epoch_epsilon.append(0.0)
+    best_epoch = int(np.argmax(epoch_accuracy))
     return RunResult(
         run_id=run_id,
         csv_path=csv_path,
         params_path=params_path,
-        final_accuracy=final_accuracy,
-        final_epsilon=final_epsilon,
-        best_accuracy=best_accuracy,
+        final_accuracy=epoch_accuracy[-1],
+        final_epsilon=epoch_epsilon[-1],
+        best_accuracy=epoch_accuracy[best_epoch],
         best_epoch=best_epoch,
-        epsilon_at_best=epsilon_at_best,
+        epsilon_at_best=epoch_epsilon[best_epoch],
         wall_clock=time.monotonic() - start,
         records=records,
     )

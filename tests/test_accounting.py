@@ -313,6 +313,41 @@ class TestEpsilonForTraining:
             accounting.epsilon_for_training(100, 200, 1.0, 1, 1e-5)
 
 
+class TestEpsilonAfter:
+    """Training's accountant hook and the account query price a step count
+    with accounting.epsilon_after; the hook keeps no running state."""
+
+    @staticmethod
+    def hook(sigma=1.1):
+        from dpsgd import experiment
+        from dpsgd.engine import DpConfig
+
+        dp_cfg = DpConfig(clip_norm=1.0, noise_multiplier=sigma, grad_acc_count=32)
+        return experiment._make_accountant_hook(1000, dp_cfg, 1e-5)
+
+    def test_hook_prices_the_step_count_alone(self):
+        hook = self.hook()
+        steps = (1, 2, 3, 31, 62)
+        in_order = dict(zip(steps, map(hook, steps)))
+        assert list(in_order.values()) == sorted(set(in_order.values()))
+        for step in (62, 31, 3, 3, 2, 1, 62):
+            assert hook(step) == in_order[step]
+        fresh = self.hook()
+        assert fresh(62) == in_order[62] and fresh(3) == in_order[3]
+
+    def test_hook_and_account_query_agree(self):
+        # 1000 // 32 = 31 steps per epoch.
+        assert self.hook()(62) == accounting.epsilon_for_training(1000, 32, 1.1, 2, 1e-5).epsilon
+        step_curve = accounting.per_step_curve(32 / 1000, 1.1)
+        assert accounting.epsilon_after(step_curve, 62, 1e-5) == accounting.to_epsilon(
+            accounting.compose(RdpCurve.zeros(), step_curve, 62), 1e-5
+        )
+
+    def test_no_noise_has_no_guarantee(self):
+        hook = self.hook(sigma=0.0)
+        assert math.isinf(hook(1)) and math.isinf(hook(62))
+
+
 class TestMonotonicity:
     def test_epsilon_monotone_in_steps_q_sigma_delta(self):
         sigma0, q0, delta0, steps0 = 1.0, 0.01, 1e-5, 500

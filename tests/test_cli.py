@@ -95,6 +95,28 @@ class TestRunCommand:
         assert cli.main(["run", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split, label", [("train", 7), ("eval", 9), ("train", -1)])
+    def test_label_outside_classes_names_source_split_and_row(self, tmp_path, capsys, split, label):
+        # model.classes = 3; row 5 of one CSV carries a label outside [0, 3).
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name, size in (("train", 40), ("eval", 10)):
+            labels = [i % 3 for i in range(size)]
+            if name == split:
+                labels[5] = label
+            rows = [f"{y}," + ",".join(f"{v:.4f}" for v in rng.normal(size=12)) for y in labels]
+            paths[name] = tmp_path / f"{name}.csv"
+            header = "label," + ",".join(f"f{i}" for i in range(12))
+            paths[name].write_text("\n".join([header, *rows]) + "\n")
+        path = write_config(
+            tmp_path, extra=f"data.path = {paths['train']}\ndata.eval_path = {paths['eval']}\n"
+        )
+        path.write_text(path.read_text().replace("data.source = synth", "data.source = csv"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"csv:{paths[split]}, {split} split, row 5 (from 0): label {label} is outside [0, 3)" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_sigma_zero_with_large_clip_matches_disabled_dp_run(self, tmp_path, capsys):
         dp_off = write_config(tmp_path, extra="dp.enabled = false\n", name="off.cfg")
         degenerate = write_config(
@@ -233,7 +255,7 @@ class TestSweepCommand:
         cfg = config_mod.parse_config(path)
         _, results = experiment.run_sweep(cfg)
         report = accounting.epsilon_for_training(120, 8, 1.0, 2, 1e-5)
-        assert results[0].final_epsilon == pytest.approx(report.epsilon, rel=1e-9)
+        assert metrics.format_float(results[0].final_epsilon) == metrics.format_float(report.epsilon)
 
 
 class TestAccountCommand:
@@ -316,6 +338,39 @@ class TestEpsilonDuringTraining:
         values = [r.epsilon for r in records]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[0] > 0
+
+    def test_per_step_curve_computed_once_per_run(self, tmp_path, monkeypatch):
+        from dpsgd import accounting
+
+        calls = []
+        per_step_curve = accounting.per_step_curve
+        monkeypatch.setattr(
+            accounting, "per_step_curve", lambda *args: calls.append(args) or per_step_curve(*args)
+        )
+        assert cli.main(["run", str(write_config(tmp_path))]) == 0
+        assert calls == [(8 / 120, 1.0)]
+
+    def test_epsilon_at_best_prices_the_best_epochs_steps(self, tmp_path, monkeypatch):
+        # Three epochs of 15 steps whose evaluations peak at the second: the
+        # frontier's epsilon_at_best is the price of 30 steps, the final
+        # epsilon that of 45, and the CSV prints each epoch's last price.
+        from dpsgd import accounting, models
+
+        scores = iter([0.5, 0.9, 0.7])
+        monkeypatch.setattr(models, "evaluate_accuracy", lambda *args: next(scores))
+        path = write_config(tmp_path, extra="sweep.grad_acc_count = 8\n")
+        path.write_text(path.read_text().replace("train.epochs = 2", "train.epochs = 3"))
+        frontier, results = experiment.run_sweep(config_mod.parse_config(path))
+        step_curve = accounting.per_step_curve(8 / 120, 1.0)
+        price = {steps: accounting.epsilon_after(step_curve, steps, 1e-5)[0] for steps in (15, 30, 45)}
+        assert results[0].best_epoch == 1
+        assert results[0].epsilon_at_best == price[30] and results[0].final_epsilon == price[45]
+        row = frontier.read_text().splitlines()[1].split(",")
+        assert row[4:6] == ["1", metrics.format_float(price[30])]
+        records = metrics.read_csv(results[0].csv_path)
+        assert [(r.step, r.epsilon) for r in records if r.accuracy is not None] == [
+            (steps, float(metrics.format_float(price[steps]))) for steps in (15, 30, 45)
+        ]
 
     def test_disabled_dp_reports_inf_epsilon(self, tmp_path):
         path = write_config(tmp_path, extra="dp.enabled = false\n")

@@ -94,6 +94,15 @@ class TestLabeledCsv:
         with pytest.raises(DataFormatError, match="label"):
             data.load_labeled_csv(path)
 
+    @pytest.mark.parametrize("row, bad", [("x,1.0,2.0", "'x'"), ("1,1.0,two", "'two'")])
+    def test_non_numeric_value_names_path_and_line(self, tmp_path, row, bad):
+        path = tmp_path / "words.csv"
+        path.write_text(f"label,f0,f1\n0,0.5,1.5\n{row}\n")
+        with pytest.raises(DataFormatError) as raised:
+            data.load_labeled_csv(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}: line 3: ") and message.endswith(bad)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0\n")
@@ -137,14 +146,11 @@ class TestSynthBlobs:
         params = models.build_model(spec, seed=3)
         cfg = DpConfig(clip_norm=float("inf"), noise_multiplier=0.0, grad_acc_count=50, seed=3)
         state = OptimizerState(np.zeros(params.dim, dtype=np.float32), 0.9)
-        step = 0
         for epoch in range(5):
             batches = data.sample_batches(ds, 50, 3, epoch)
             params, state, recs = engine.train_epoch(
-                spec, params, ds.examples, ds.labels, batches, cfg, 0.5, state,
-                epoch=epoch, start_step=step,
+                spec, params, ds.examples, ds.labels, batches, cfg, 0.5, state, epoch=epoch,
             )
-            step += len(recs)
         accuracy = models.evaluate_accuracy(spec, params, ds.examples, ds.labels)
         assert accuracy >= 0.99
 

@@ -352,14 +352,11 @@ class TestTrainEpoch:
         spec, params, ds = self.setup_problem(seed=seed, dtype=dtype)
         state = OptimizerState(np.zeros(params.dim, dtype=dtype), momentum)
         all_records = []
-        step = 0
         for epoch in range(epochs):
             batches = data.sample_batches(ds, cfg.effective_batch, seed, epoch)
             params, state, records = engine.train_epoch(
-                spec, params, ds.examples, ds.labels, batches, cfg, lr, state,
-                epoch=epoch, start_step=step,
+                spec, params, ds.examples, ds.labels, batches, cfg, lr, state, epoch=epoch,
             )
-            step += len(records)
             all_records.extend(records)
         return params, all_records
 
@@ -401,9 +398,9 @@ class TestTrainEpoch:
         reference = models.ParamSet(params.flat.copy(), params.layouts, spec)
         cfg = DpConfig(clip_norm=0.5, noise_multiplier=1.3, grad_acc_count=4, seed=5)
         batch = data.sample_batches(ds, 4, 11, 0)[0]
-        state = OptimizerState(np.zeros(params.dim), momentum=0.0)
+        state = OptimizerState(np.zeros(params.dim), momentum=0.0, step=3)
         params, _, records = engine.train_epoch(
-            spec, params, ds.examples, ds.labels, [batch], cfg, 1.0, state, start_step=3,
+            spec, params, ds.examples, ds.labels, [batch], cfg, 1.0, state,
         )
         noised, noise_sum = [], np.zeros(params.dim)
         for position, index in enumerate(batch):
@@ -417,6 +414,33 @@ class TestTrainEpoch:
         taken = reference.flat - params.flat
         assert np.linalg.norm(taken - want) <= 1e-12 * np.linalg.norm(want)
         assert records[0].noise_norm == float(np.linalg.norm(noise_sum))
+        assert records[0].step == 4 and state.step == 4
+
+    def test_split_epoch_continues_from_the_state_step(self):
+        # The batches of one epoch, run in two calls that share one
+        # OptimizerState, take the same steps and write the same records as
+        # one call: the state's step keys the noise, numbers the records and
+        # is what the accountant hook is asked to price.
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, seed=5)
+        runs = []
+        for cut in (3, 1, 2):
+            spec, params, ds = self.setup_problem()
+            state = OptimizerState(np.zeros(params.dim, dtype=np.float32), 0.9)
+            batches = data.sample_batches(ds, 4, 11, 0)
+            records = []
+            for part in (batches[:cut], batches[cut:]):
+                params, state, recs = engine.train_epoch(
+                    spec, params, ds.examples, ds.labels, part, cfg, 0.1, state,
+                    accountant_hook=lambda step: step / 8,
+                )
+                records.extend(recs)
+            runs.append((params.flat.copy(), state.step, records))
+        whole_flat, whole_step, whole_records = runs[0]
+        assert whole_step == 3
+        assert [(r.step, r.epsilon) for r in whole_records] == [(1, 0.125), (2, 0.25), (3, 0.375)]
+        for flat, step, records in runs[1:]:
+            assert np.array_equal(flat, whole_flat)
+            assert step == whole_step and records == whole_records
 
     def test_degenerate_dp_equals_non_private_trajectory_bitwise(self):
         private = DpConfig(clip_norm=1e9, noise_multiplier=0.0, grad_acc_count=4, seed=5)
@@ -599,14 +623,12 @@ class TestBatchedPath:
         monkeypatch.setattr(models, "CHUNK_BYTES", chunk * params.example_bytes)
         examples[2, 1] = np.nan
         before = params.flat.copy()
-        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), momentum=0.9)
+        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), momentum=0.9, step=5)
         cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=self.B, seed=1)
         with pytest.raises(NonFiniteGradientError, match=r"step 5, batch position 2, layer 0 \(offset 0"):
-            engine.train_epoch(
-                spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state, start_step=5,
-            )
+            engine.train_epoch(spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state)
         assert np.array_equal(params.flat, before)
-        assert state.step == 0 and not state.velocity.any()
+        assert state.step == 5 and not state.velocity.any()
 
 
 class TestDpConfigValidation:

@@ -140,8 +140,7 @@ class TestSnrTrends:
         while len(records) < steps:
             batches = data.sample_batches(ds, batch_size, seed, epoch)
             params, state, recs = engine.train_epoch(
-                spec, params, ds.examples, ds.labels, batches, cfg, lr, state,
-                epoch=epoch, start_step=len(records),
+                spec, params, ds.examples, ds.labels, batches, cfg, lr, state, epoch=epoch,
             )
             records.extend(recs)
             epoch += 1
