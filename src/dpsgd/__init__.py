@@ -9,7 +9,6 @@ batch-size/noise sweeps, and accountant queries from a flat config file.
 from .accounting import (
     DEFAULT_ORDERS,
     EpsilonReport,
-    PrivacySpec,
     RdpCurve,
     compose,
     epsilon_for_training,

@@ -186,32 +186,6 @@ def epsilon_after(step_curve: RdpCurve, steps: int, delta: float):
 
 
 @dataclass(frozen=True)
-class PrivacySpec:
-    """Everything the accountant needs to price a training run."""
-
-    dataset_size: int
-    effective_batch: int
-    noise_multiplier: float
-    steps: int
-    target_delta: float
-    orders: tuple = DEFAULT_ORDERS
-
-    def __post_init__(self):
-        if self.effective_batch < 1 or self.effective_batch > self.dataset_size:
-            raise ConfigurationError(
-                f"effective batch {self.effective_batch} must lie in [1, {self.dataset_size}]"
-            )
-        if self.steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
-        if not 0.0 < self.target_delta < 1.0:
-            raise ConfigurationError(f"delta must lie in (0, 1), got {self.target_delta}")
-
-    @property
-    def sampling_ratio(self) -> float:
-        return self.effective_batch / self.dataset_size
-
-
-@dataclass(frozen=True)
 class EpsilonReport:
     epsilon: float
     best_order: int | None
@@ -232,12 +206,17 @@ def epsilon_for_training(
     Zero steps cost nothing; sigma = 0 provides no guarantee at all and
     reports epsilon = inf.
     """
+    if not 1 <= effective_batch <= dataset_size:
+        raise ConfigurationError(f"effective batch {effective_batch} must lie in [1, {dataset_size}]")
+    if epochs < 0:
+        raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     steps = epochs * (dataset_size // effective_batch)
-    spec = PrivacySpec(dataset_size, effective_batch, sigma, steps, delta, tuple(orders))
+    ratio = effective_batch / dataset_size
     if steps == 0:
-        return EpsilonReport(0.0, None, spec.sampling_ratio, 0)
+        return EpsilonReport(0.0, None, ratio, 0)
     if sigma == 0.0:
-        return EpsilonReport(float("inf"), None, spec.sampling_ratio, steps)
-    step_curve = per_step_curve(spec.sampling_ratio, sigma, spec.orders)
-    epsilon, best_order = epsilon_after(step_curve, steps, delta)
-    return EpsilonReport(epsilon, best_order, spec.sampling_ratio, steps)
+        return EpsilonReport(float("inf"), None, ratio, steps)
+    epsilon, best_order = epsilon_after(per_step_curve(ratio, sigma, orders), steps, delta)
+    return EpsilonReport(epsilon, best_order, ratio, steps)

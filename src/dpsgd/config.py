@@ -169,7 +169,8 @@ def parse_config(path) -> ExperimentConfig:
 
 # DpConfig fields read from the dp.* key of the same name.
 _DP_FIELDS = (
-    "clip_norm", "noise_multiplier", "mode", "num_stages", "grad_acc_count", "replicas", "noise_placement",
+    "clip_norm", "noise_multiplier", "mode", "num_stages", "stage_layers", "grad_acc_count", "replicas",
+    "noise_placement",
 )
 
 
@@ -270,7 +271,7 @@ def split_holdout(loaded: data_mod.Dataset, fraction: float = 0.1):
 def build_dp_config(config: ExperimentConfig) -> DpConfig:
     values = {field: config[f"dp.{field}"] for field in _DP_FIELDS}
     if not config["dp.enabled"]:
-        values.update(clip_norm=float("inf"), noise_multiplier=0.0, mode="global")
+        values.update(clip_norm=float("inf"), noise_multiplier=0.0, mode="global", stage_layers=())
     return DpConfig(**values, seed=config["train.seed"])
 
 

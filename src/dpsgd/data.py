@@ -32,7 +32,7 @@ class Dataset:
                 f"{len(self.examples)} examples but {len(self.labels)} labels"
             )
         if len(self.examples) < 1:
-            raise DataFormatError("dataset is empty")
+            raise DataFormatError(f"{self.source or 'dataset'}, {self.split} split: dataset is empty")
 
     @property
     def size(self) -> int:
@@ -105,8 +105,15 @@ def load_labeled_csv(path, split: str = "train") -> Dataset:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
+    with np.errstate(over="ignore"):  # a value past the float32 range becomes inf, rejected below
+        examples = np.asarray(rows, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(examples))
+    if bad.size:
+        row, column = bad[0]
+        raise DataFormatError(f"{path}: line {row + 2}: feature {column} is not finite in float32: "
+                              f"{rows[row][column]}")
     return Dataset(
-        np.asarray(rows, dtype=np.float32),
+        examples,
         np.asarray(labels, dtype=np.int64),
         split=split,
         source=f"csv:{path}",

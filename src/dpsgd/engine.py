@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import metrics, models
 from .errors import ConfigurationError, NonFiniteGradientError, ProtocolError
 
 CLIP_MODES = ("global", "per_layer", "per_stage")
@@ -55,6 +55,7 @@ class DpConfig:
     noise_multiplier: float
     mode: str = "global"
     num_stages: int = 1
+    stage_layers: tuple = ()
     grad_acc_count: int = 1
     replicas: int = 1
     noise_placement: str = "per_example"
@@ -73,6 +74,13 @@ class DpConfig:
         if self.noise_placement not in NOISE_PLACEMENTS:
             raise ConfigurationError(
                 f"noise_placement: must be one of {NOISE_PLACEMENTS}, got {self.noise_placement!r}"
+            )
+        object.__setattr__(self, "stage_layers", tuple(self.stage_layers))
+        if self.stage_layers and (self.mode != "per_stage" or len(self.stage_layers) != self.num_stages
+                                  or min(self.stage_layers) < 1):
+            raise ConfigurationError(
+                f"stage_layers: needs mode 'per_stage' and one count >= 1 for each of the {self.num_stages} "
+                f"stages, got {list(self.stage_layers)} with mode {self.mode!r}"
             )
 
     @property
@@ -165,22 +173,22 @@ def clip_gradient(gradient: FlatGradient, cfg: DpConfig) -> FlatGradient:
     return clip_per_stage(gradient, cfg.clip_norm, cfg.num_stages)
 
 
-def _stage_layer_counts(num_layers: int, num_stages: int, stage_layers=None) -> list:
+def _stage_layer_counts(num_layers: int, num_stages: int, stage_layers=()) -> list:
     """Layers in each stage: stage_layers if given, else as even a split as possible."""
-    if stage_layers is None:
+    if not stage_layers:
         base, extra = divmod(num_layers, num_stages)
         if base == 0:
-            raise ConfigurationError(f"cannot split {num_layers} layers into {num_stages} stages")
+            raise ConfigurationError(f"dp.num_stages: cannot split {num_layers} layers into {num_stages} stages")
         stage_layers = [base + (1 if i < extra else 0) for i in range(num_stages)]
     if len(stage_layers) != num_stages or sum(stage_layers) != num_layers or min(stage_layers) < 1:
         raise ConfigurationError(
-            f"stage layer counts {stage_layers} do not partition {num_layers} layers "
+            f"dp.stage_layers: counts {list(stage_layers)} do not partition {num_layers} layers "
             f"into {num_stages} stages"
         )
     return list(stage_layers)
 
 
-def build_stage_partition(layer_extents, num_stages: int, stage_layers=None) -> tuple:
+def build_stage_partition(layer_extents, num_stages: int, stage_layers=()) -> tuple:
     """Merge consecutive layer extents into num_stages contiguous slices.
 
     stage_layers optionally gives the number of layers per stage; the
@@ -238,18 +246,32 @@ def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float) -> np.
     return rng.standard_normal(dim, dtype=dtype) * dtype.type(scale)
 
 
-def _per_example_std(cfg: DpConfig) -> float:
-    """Per-coordinate noise std sigma C / sqrt(|B|): |B| such draws sum to variance sigma^2 C^2."""
-    return cfg.noise_multiplier * cfg.clip_norm / math.sqrt(cfg.effective_batch)
-
-
 def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Generator) -> FlatGradient:
     """Add i.i.d. Gaussian noise with per-coordinate variance
     sigma^2 * C^2 / |B| to an already clipped gradient."""
     if cfg.noise_multiplier == 0.0:
         return gradient
-    noise = sample_noise(rng, gradient.dim, gradient.values.dtype, _per_example_std(cfg))
+    std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(cfg.effective_batch)
+    noise = sample_noise(rng, gradient.dim, gradient.values.dtype, std)
     return FlatGradient(gradient.values + noise, gradient.layer_extents, gradient.stage_partition)
+
+
+def step_noise(cfg: DpConfig, step: int, dim: int, dtype) -> np.ndarray:
+    """The noise total of one step: k Philox streams of std sigma C / sqrt(k),
+    drawn and summed from zeros in stream order, so that it has variance
+    sigma^2 C^2 per coordinate. Per-example placement draws streams 0..B-1,
+    one per batch position; batch placement draws the one stream
+    _BATCH_STREAM_INDEX. Zeros, with no draws, when sigma = 0. This is the
+    only place a training step's noise is drawn."""
+    dtype = np.dtype(dtype)
+    total = np.zeros(dim, dtype=dtype)
+    if cfg.noise_multiplier == 0.0:
+        return total
+    streams = range(cfg.effective_batch) if cfg.noise_placement == "per_example" else (_BATCH_STREAM_INDEX,)
+    std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(len(streams))
+    for index in streams:
+        total += sample_noise(_reused_noise_stream(cfg.seed, step, index), dim, dtype, std)
+    return total
 
 
 def accumulate(contributions, batch_size: int) -> FlatGradient:
@@ -325,13 +347,13 @@ def lr_schedule(
     return lr
 
 
-def _clip_slices(cfg: DpConfig, num_layers: int, stage_layers=None) -> tuple:
+def _clip_slices(cfg: DpConfig, num_layers: int) -> tuple:
     """The clip slice of each parameterised layer, and the bound on each slice."""
     if cfg.mode == "global":
         return np.zeros(num_layers, dtype=np.intp), cfg.clip_norm
     if cfg.mode == "per_layer":
         return np.arange(num_layers), cfg.clip_norm / np.sqrt(num_layers)
-    counts = _stage_layer_counts(num_layers, cfg.num_stages, stage_layers)
+    counts = _stage_layer_counts(num_layers, cfg.num_stages, cfg.stage_layers)
     return np.repeat(np.arange(cfg.num_stages), counts), cfg.clip_norm / np.sqrt(cfg.num_stages)
 
 
@@ -361,28 +383,22 @@ def train_epoch(
     epoch: int = 0,
     accountant_hook=None,
     metrics_hook=None,
-    stage_layers=None,
 ):
     """One pass over the given batches of example indices.
 
     Each effective batch runs in chunks of models.chunk_size examples. For a
     chunk: per-example gradients and their float64 squared norms per layer,
     one clip factor per example and slice, and the factor-weighted sum added
-    to the batch total. Then each example's noise is drawn in batch order,
-    the mean takes one sgd step, and the accountant and metrics hooks fire
+    to the batch total. Then step_noise draws the step's noise total, the
+    mean takes one sgd step, and the accountant and metrics hooks fire
     once. The step is opt_state.step, which sgd_step advances: it keys the
     noise, and the record and the accountant hook read it after the update.
     Returns the RunRecords for the epoch; a failed step leaves params at the
     last completed step. A non-finite per-example norm raises
     NonFiniteGradientError naming the step, the batch position and the layer.
     """
-    from .metrics import record_step
-
-    slice_of_layer, bound = _clip_slices(cfg, len(params.layouts), stage_layers)
+    slice_of_layer, bound = _clip_slices(cfg, len(params.layouts))
     slice_starts = np.flatnonzero(np.diff(slice_of_layer, prepend=-1))
-    per_example_noise = cfg.noise_multiplier != 0.0 and cfg.noise_placement == "per_example"
-    per_example_std = _per_example_std(cfg)
-    batch_noise = cfg.noise_multiplier != 0.0 and cfg.noise_placement == "batch"
     chunk = models.chunk_size(params)
     extents = params.layer_extents
     dtype = params.flat.dtype
@@ -408,23 +424,13 @@ def train_epoch(
             models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
             loss_sum += float(losses.sum())
 
-        noise_total = np.zeros(params.dim, dtype=dtype)
-        if per_example_noise:
-            for position in range(len(batch)):
-                noise_total += sample_noise(_reused_noise_stream(cfg.seed, opt_state.step, position),
-                                            params.dim, dtype, per_example_std)
-        elif batch_noise:
-            noise_total += sample_noise(
-                _reused_noise_stream(cfg.seed, opt_state.step, _BATCH_STREAM_INDEX),
-                params.dim, dtype, cfg.noise_multiplier * cfg.clip_norm,
-            )
+        noise_total = step_noise(cfg, opt_state.step, params.dim, dtype)
         mean_grad = (sum_clipped + noise_total) / batch_size
 
         params, opt_state = sgd_step(params, FlatGradient(mean_grad, extents), lr, opt_state)
         epsilon = accountant_hook(opt_state.step) if accountant_hook is not None else float("inf")
-        record = record_step(
-            FlatGradient(sum_clipped, extents),
-            FlatGradient(noise_total, extents),
+        record = metrics.record_step(
+            sum_clipped, noise_total,
             step=opt_state.step,
             epoch=epoch,
             lr=lr,

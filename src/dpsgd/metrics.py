@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FlatGradient
 from .errors import ShapeError
 
 CSV_FIELDS = ("step", "epoch", "lr", "loss", "accuracy", "grad_norm", "noise_norm", "snr", "epsilon")
@@ -35,15 +34,16 @@ class RunRecord:
     epsilon: float
 
 
-def record_step(sum_clipped: FlatGradient, noise_total: FlatGradient, *, step: int, epoch: int,
+def record_step(sum_clipped: np.ndarray, noise_total: np.ndarray, *, step: int, epoch: int,
                 lr: float, loss: float, sigma: float, epsilon: float) -> RunRecord:
-    """Build the metrics row for one optimizer step; accuracy is filled in per epoch."""
-    if sum_clipped.dim != noise_total.dim:
+    """Build the metrics row for one optimizer step from the flat summed clipped
+    gradient and noise total; accuracy is filled in per epoch."""
+    if sum_clipped.size != noise_total.size:
         raise ShapeError(
-            f"gradient and noise dimensions differ: {sum_clipped.dim} vs {noise_total.dim}"
+            f"gradient and noise dimensions differ: {sum_clipped.size} vs {noise_total.size}"
         )
-    grad_norm = float(np.linalg.norm(sum_clipped.values.astype(np.float64, copy=False)))
-    noise_norm = float(np.linalg.norm(noise_total.values.astype(np.float64, copy=False)))
+    grad_norm = float(np.linalg.norm(sum_clipped.astype(np.float64, copy=False)))
+    noise_norm = float(np.linalg.norm(noise_total.astype(np.float64, copy=False)))
     if sigma == 0.0:
         snr = None
     elif noise_norm == 0.0:

@@ -312,6 +312,17 @@ class TestEpsilonForTraining:
         with pytest.raises(ConfigurationError):
             accounting.epsilon_for_training(100, 200, 1.0, 1, 1e-5)
 
+    @pytest.mark.parametrize("args, message", [
+        ((100, 0, 1.0, 1, 1e-5), "effective batch 0 must lie in [1, 100]"),
+        ((0, 1, 1.0, 1, 1e-5), "effective batch 1 must lie in [1, 0]"),
+        ((100, 10, 1.0, -1, 1e-5), "epochs must be >= 0, got -1"),
+        ((100, 10, 1.0, 0, 0.0), "delta must lie in (0, 1), got 0.0"),
+    ])
+    def test_out_of_range_arguments_named(self, args, message):
+        with pytest.raises(ConfigurationError) as raised:
+            accounting.epsilon_for_training(*args)
+        assert str(raised.value) == message
+
 
 class TestEpsilonAfter:
     """Training's accountant hook and the account query price a step count

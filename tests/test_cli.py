@@ -146,6 +146,32 @@ class TestClippingModesEndToEnd:
         records = metrics.read_csv(csv_path)
         assert all(r.grad_norm <= 8 * 1.0 * (1 + 1e-6) for r in records)
 
+    @pytest.mark.parametrize("extra", [
+        "dp.stage_layers = 1,5\n",
+        "dp.num_stages = 2\ndp.stage_layers = 1,1\n",
+        "dp.mode = per_stage\ndp.num_stages = 2\ndp.stage_layers = 1,1,1\n",
+        "dp.mode = per_stage\ndp.num_stages = 2\ndp.stage_layers = 2,0\n",
+    ])
+    def test_stage_layers_rejected_when_config_is_parsed(self, tmp_path, capsys, monkeypatch, extra):
+        # Outside per_stage mode, with a count per stage other than
+        # dp.num_stages, or with an empty stage: exit 2 before any data loads.
+        loaded = []
+        monkeypatch.setattr(config_mod, "build_datasets", loaded.append)
+        assert cli.main(["run", str(write_config(tmp_path, extra=extra))]) == 2
+        assert "dp.stage_layers" in capsys.readouterr().err and not loaded
+
+    @pytest.mark.parametrize("extra, message", [
+        ("dp.num_stages = 2\ndp.stage_layers = 1,2\n", "dp.stage_layers: counts [1, 2] do not partition 2 layers"),
+        ("dp.num_stages = 3\n", "dp.num_stages: cannot split 2 layers into 3 stages"),
+    ])
+    def test_stage_plan_checked_against_the_model(self, tmp_path, capsys, extra, message):
+        assert cli.main(["run", str(write_config(tmp_path, extra="dp.mode = per_stage\n" + extra))]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_stage_layers_ignored_with_dp_off(self, tmp_path):
+        extra = "dp.enabled = false\ndp.mode = per_stage\ndp.num_stages = 2\ndp.stage_layers = 1,1\n"
+        assert cli.main(["run", str(write_config(tmp_path, extra=extra))]) == 0
+
     def test_per_layer_mode_through_config(self, tmp_path):
         path = write_config(tmp_path, extra="dp.mode = per_layer\n")
         assert cli.main(["run", str(path)]) == 0
@@ -318,6 +344,14 @@ class TestAccountCommand:
         assert cli.main([
             "account", "--n", "100", "--batch", "10", "--sigma", "1.0",
             "--epochs", "1", "--delta", "2.0",
+        ]) == 2
+        assert cli.main([
+            "account", "--n", "100", "--batch", "0", "--sigma", "1.0",
+            "--epochs", "1", "--delta", "1e-5",
+        ]) == 2
+        assert cli.main([
+            "account", "--n", "100", "--batch", "10", "--sigma", "1.0",
+            "--epochs", "-1", "--delta", "1e-5",
         ]) == 2
         capsys.readouterr()
 

@@ -103,6 +103,22 @@ class TestLabeledCsv:
         message = str(raised.value)
         assert message.startswith(f"{path}: line 3: ") and message.endswith(bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_feature_names_path_and_line(self, tmp_path, value):
+        # 1e39 parses but overflows float32 to inf.
+        path = tmp_path / "inf.csv"
+        path.write_text(f"label,f0,f1\n0,0.5,1.5\n1,2.0,{value}\n")
+        with pytest.raises(DataFormatError) as raised:
+            data.load_labeled_csv(path)
+        assert str(raised.value).startswith(f"{path}: line 3: feature 1 is not finite")
+
+    def test_header_only_file_names_its_source(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("label,f0,f1\n")
+        with pytest.raises(DataFormatError) as raised:
+            data.load_labeled_csv(path, "eval")
+        assert str(raised.value) == f"csv:{path}, eval split: dataset is empty"
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0\n")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,31 @@ class TestNoise:
         assert sums.var() == pytest.approx(want, rel=0.05)
         assert abs(sums.mean()) < 3 * sigma * clip / np.sqrt(sums.size)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("placement", ["per_example", "batch"])
+    def test_step_noise_is_the_in_order_sum_of_its_streams(self, placement, dtype):
+        # k streams of std sigma C / sqrt(k), summed from zeros in stream order:
+        # one per batch position, or the one reserved whole-batch stream.
+        sigma, clip, batch, step, dim = 1.3, 0.7, 5, 6, 33
+        streams = range(batch) if placement == "per_example" else [0xFFFFFFFF]
+        want = np.zeros(dim, dtype=dtype)
+        for index in streams:
+            want += engine.sample_noise(
+                engine.noise_stream(99, step, index), dim, np.dtype(dtype), sigma * clip / math.sqrt(len(streams))
+            )
+        got = engine.step_noise(self.cfg(sigma=sigma, clip=clip, batch=batch, placement=placement), step, dim, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("placement", ["per_example", "batch"])
+    def test_step_noise_at_sigma_zero_is_zeros_without_draws(self, placement, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn at sigma = 0")
+
+        monkeypatch.setattr(engine, "sample_noise", no_draws)
+        monkeypatch.setattr(engine, "_reused_noise_stream", no_draws)
+        got = engine.step_noise(self.cfg(sigma=0.0, placement=placement), 3, 10, np.float32)
+        assert got.dtype == np.float32 and got.shape == (10,) and not got.any()
+
 
 class TestAccumulate:
     def test_single_contribution_is_identity(self):
@@ -408,7 +434,8 @@ class TestTrainEpoch:
             clipped = engine.clip_gradient(grad, cfg)
             noised.append(engine.noise_per_example(clipped, cfg, engine.noise_stream(5, 3, position)))
             noise_sum += engine.sample_noise(
-                engine.noise_stream(5, 3, position), params.dim, params.flat.dtype, engine._per_example_std(cfg)
+                engine.noise_stream(5, 3, position), params.dim, params.flat.dtype,
+                cfg.noise_multiplier * cfg.clip_norm / math.sqrt(cfg.effective_batch),
             )
         want = engine.accumulate(iter(noised), 4).values
         taken = reference.flat - params.flat
@@ -531,7 +558,7 @@ class TestBatchedPath:
             record_step = metrics.record_step
 
             def spy(sum_clipped, noise_total, **kwargs):
-                seen.update(sum_clipped=sum_clipped.values.copy(), noise_total=noise_total.values.copy())
+                seen.update(sum_clipped=sum_clipped.copy(), noise_total=noise_total.copy())
                 return record_step(sum_clipped, noise_total, **kwargs)
 
             monkeypatch.setattr(metrics, "record_step", spy)
@@ -574,7 +601,7 @@ class TestBatchedPath:
             want_noise = np.zeros(params.dim)
             for position in range(self.B):
                 want_noise += engine.sample_noise(
-                    engine.noise_stream(4, 0, position), params.dim, dtype, engine._per_example_std(cfg)
+                    engine.noise_stream(4, 0, position), params.dim, dtype, 1.1 * clip_norm / math.sqrt(self.B)
                 )
         else:
             want_noise = engine.sample_noise(

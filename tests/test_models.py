@@ -240,13 +240,14 @@ def test_batched_evaluation_equals_per_example_argmax_count(which, monkeypatch):
 
 def test_traced_functions_exist_and_see_every_layer_call(monkeypatch):
     # The benchmark's tracer replaces the functions it names by setattr on
-    # their module. Every name must exist, and the layer table must reach
+    # their module, and its untraced step clock replaces engine.train_epoch and
+    # engine.sgd_step. Every name must exist, and the layer table must reach
     # ops through the module, or traced runs would count no layer calls.
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "worker.py"
     loader = importlib.util.spec_from_file_location("benchmark_worker", path)
     worker = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(worker)
-    for module_name, functions in worker.TRACED.items():
+    for module_name, functions in [*worker.TRACED.items(), ("engine", ("train_epoch", "sgd_step"))]:
         module = importlib.import_module(f"dpsgd.{module_name}")
         for fn_name in functions:
             assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
