@@ -7,11 +7,20 @@ and the clipped sum are computed for a whole chunk at once. Noise streams
 are Philox-keyed by (seed, step, example index), so no draw depends on the
 order in which examples are computed; draws use numpy's standard ziggurat
 normal transform.
+
+A step's per-example noise rows are drawn by the calling thread and one
+helper thread per further CPU (NoiseDraws). The helpers start on the rows
+when the step starts, and the caller joins them once its gradient chunks
+are done. The caller adds the rows to the noise total in batch-position
+order, so the bytes depend on neither the number of drawing threads nor the
+number of BLAS threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -242,8 +251,22 @@ def _reused_noise_stream(seed: int, step: int, example_index: int) -> np.random.
     return generator
 
 
-def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float) -> np.ndarray:
-    return rng.standard_normal(dim, dtype=dtype) * dtype.type(scale)
+def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float, out=None) -> np.ndarray:
+    """dim draws from rng times scale, in dtype; written into out if given."""
+    if out is None:
+        return rng.standard_normal(dim, dtype=dtype) * dtype.type(scale)
+    rng.standard_normal(dim, dtype=dtype, out=out)
+    out *= dtype.type(scale)
+    return out
+
+
+# The draw functions as defined here. Helper threads draw through these: the
+# module attributes may be replaced by a profiler or test hook, which must
+# only ever run on the calling thread.
+_IMPORTED_DRAW = (_reused_noise_stream, sample_noise)
+
+# Bytes of drawn per-example noise rows held at once.
+DRAW_BLOCK_BYTES = 1 << 20
 
 
 def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Generator) -> FlatGradient:
@@ -256,22 +279,114 @@ def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Gene
     return FlatGradient(gradient.values + noise, gradient.layer_extents, gradient.stage_partition)
 
 
-def step_noise(cfg: DpConfig, step: int, dim: int, dtype) -> np.ndarray:
+def drawing_threads(streams: int) -> int:
+    """Threads that draw a step's noise streams: the caller and one helper per
+    further CPU, at most one per stream."""
+    return min(os.cpu_count() or 1, streams)
+
+
+class NoiseDraws:
+    """Draws the per-example noise rows of one train_epoch call's steps.
+
+    The rows go, in blocks of at most DRAW_BLOCK_BYTES and at least one row
+    per thread, into one buffer. The caller and drawing_threads(B) - 1
+    helpers each take the next batch position from a shared counter; the
+    caller adds each block's rows to the total in position order. While
+    engine.sample_noise or engine._reused_noise_stream is replaced, the
+    caller draws every row, so that the replacement sees every draw. Inert
+    when the config draws no per-example noise.
+    """
+
+    def __init__(self, cfg: DpConfig, dim: int, dtype):
+        self.cfg, self.rows, self.pool, self.helpers = cfg, None, None, []
+        if cfg.noise_placement != "per_example" or cfg.noise_multiplier == 0.0:
+            return
+        batch = cfg.effective_batch
+        self.std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(batch)
+        hooked = (_reused_noise_stream, sample_noise) != _IMPORTED_DRAW
+        self.threads = 1 if hooked else drawing_threads(batch)
+        row_bytes = max(1, dim * np.dtype(dtype).itemsize)
+        self.rows = np.empty((min(batch, max(self.threads, DRAW_BLOCK_BYTES // row_bytes)), dim), dtype=dtype)
+        if self.threads > 1:
+            # Imported here: concurrent.futures loads logging, about 7 ms that
+            # runs without helpers need not pay.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(self.threads - 1, thread_name_prefix="dpsgd-noise")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        """Join the helpers, also when a step failed while they drew."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+    def begin(self, step: int, first: int = 0) -> None:
+        """Hand the block of step's rows from batch position first to the helpers."""
+        if self.rows is None:
+            return
+        end = min(first + len(self.rows), self.cfg.effective_batch)
+        self.job = job = (step, first, end, itertools.count(first))
+        if self.pool is not None:
+            self.helpers = [self.pool.submit(_helper_rows, self, job) for _ in range(self.threads - 1)]
+
+    def draw(self, job, stream, sample) -> None:
+        """Draw rows of job's block until its positions run out. Each next()
+        on the shared itertools.count is one C call, so under the interpreter
+        lock every position goes to exactly one thread."""
+        step, first, end, positions = job
+        dim, dtype = self.rows.shape[1], self.rows.dtype
+        for position in positions:
+            if position >= end:
+                return
+            sample(stream(self.cfg.seed, step, position), dim, dtype, self.std, out=self.rows[position - first])
+
+    def add_rows(self, total: np.ndarray) -> np.ndarray:
+        """Add the begun step's rows to total in position order, block by block."""
+        while True:
+            step, first, end, _ = job = self.job
+            self.draw(job, _reused_noise_stream, sample_noise)
+            helpers, self.helpers = self.helpers, []
+            for helper in helpers:
+                try:
+                    helper.result()
+                except Exception as exc:
+                    raise RuntimeError(f"noise draw failed at step {step}: {exc!r}") from exc
+            for row in self.rows[: end - first]:
+                total += row
+            if end == self.cfg.effective_batch:
+                return total
+            self.begin(step, end)
+
+
+def _helper_rows(draws: NoiseDraws, job) -> None:
+    """A helper thread's rows of job's block, drawn through _IMPORTED_DRAW."""
+    draws.draw(job, *_IMPORTED_DRAW)
+
+
+def step_noise(cfg: DpConfig, step: int, dim: int, dtype, draws: NoiseDraws | None = None) -> np.ndarray:
     """The noise total of one step: k Philox streams of std sigma C / sqrt(k),
     drawn and summed from zeros in stream order, so that it has variance
     sigma^2 C^2 per coordinate. Per-example placement draws streams 0..B-1,
-    one per batch position; batch placement draws the one stream
-    _BATCH_STREAM_INDEX. Zeros, with no draws, when sigma = 0. This is the
-    only place a training step's noise is drawn."""
+    one per batch position, through draws, the running train_epoch's
+    NoiseDraws begun on this step, or else through a NoiseDraws made for this
+    call. Batch placement draws the one stream _BATCH_STREAM_INDEX on the
+    calling thread. Zeros, with no draws, when sigma = 0. This is the only
+    place a training step's noise is drawn."""
     dtype = np.dtype(dtype)
     total = np.zeros(dim, dtype=dtype)
     if cfg.noise_multiplier == 0.0:
         return total
-    streams = range(cfg.effective_batch) if cfg.noise_placement == "per_example" else (_BATCH_STREAM_INDEX,)
-    std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(len(streams))
-    for index in streams:
-        total += sample_noise(_reused_noise_stream(cfg.seed, step, index), dim, dtype, std)
-    return total
+    if cfg.noise_placement == "batch":
+        std = cfg.noise_multiplier * cfg.clip_norm
+        total += sample_noise(_reused_noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX), dim, dtype, std)
+        return total
+    if draws is not None:
+        return draws.add_rows(total)
+    with NoiseDraws(cfg, dim, dtype) as draws:
+        draws.begin(step)
+        return draws.add_rows(total)
 
 
 def accumulate(contributions, batch_size: int) -> FlatGradient:
@@ -389,10 +504,12 @@ def train_epoch(
     Each effective batch runs in chunks of models.chunk_size examples. For a
     chunk: per-example gradients and their float64 squared norms per layer,
     one clip factor per example and slice, and the factor-weighted sum added
-    to the batch total. Then step_noise draws the step's noise total, the
+    to the batch total. Then step_noise adds up the step's noise total, the
     mean takes one sgd step, and the accountant and metrics hooks fire
-    once. The step is opt_state.step, which sgd_step advances: it keys the
-    noise, and the record and the accountant hook read it after the update.
+    once. Helper threads start on the step's per-example noise rows when the
+    step starts and are joined when the call returns or raises. The step is
+    opt_state.step, which sgd_step advances: it keys the noise, and the
+    record and the accountant hook read it after the update.
     Returns the RunRecords for the epoch; a failed step leaves params at the
     last completed step. A non-finite per-example norm raises
     NonFiniteGradientError naming the step, the batch position and the layer.
@@ -407,38 +524,40 @@ def train_epoch(
 
     records = []
     batch_size = dtype.type(cfg.effective_batch)
-    for batch in batches:
-        if len(batch) != cfg.effective_batch:
-            raise ProtocolError(
-                f"batch of {len(batch)} examples does not match effective batch "
-                f"{cfg.effective_batch}"
+    with NoiseDraws(cfg, params.dim, dtype) as draws:
+        for batch in batches:
+            if len(batch) != cfg.effective_batch:
+                raise ProtocolError(
+                    f"batch of {len(batch)} examples does not match effective batch "
+                    f"{cfg.effective_batch}"
+                )
+            draws.begin(opt_state.step)
+            sum_clipped.fill(0)
+            loss_sum = 0.0
+            for start in range(0, len(batch), chunk):
+                rows = batch[start : start + chunk]
+                losses, grads = models.example_gradients(spec, params, examples[rows], labels[rows])
+                sq_norms = np.array([layer_grads.sq_norms() for layer_grads in grads])
+                _check_finite_norms(sq_norms, opt_state.step, start, extents)
+                factors = slice_clip_factors(sq_norms, slice_starts, bound, dtype)
+                models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
+                loss_sum += float(losses.sum())
+
+            noise_total = step_noise(cfg, opt_state.step, params.dim, dtype, draws)
+            mean_grad = (sum_clipped + noise_total) / batch_size
+
+            params, opt_state = sgd_step(params, FlatGradient(mean_grad, extents), lr, opt_state)
+            epsilon = accountant_hook(opt_state.step) if accountant_hook is not None else float("inf")
+            record = metrics.record_step(
+                sum_clipped, noise_total,
+                step=opt_state.step,
+                epoch=epoch,
+                lr=lr,
+                loss=loss_sum / cfg.effective_batch,
+                sigma=cfg.noise_multiplier,
+                epsilon=epsilon,
             )
-        sum_clipped.fill(0)
-        loss_sum = 0.0
-        for start in range(0, len(batch), chunk):
-            rows = batch[start : start + chunk]
-            losses, grads = models.example_gradients(spec, params, examples[rows], labels[rows])
-            sq_norms = np.array([layer_grads.sq_norms() for layer_grads in grads])
-            _check_finite_norms(sq_norms, opt_state.step, start, extents)
-            factors = slice_clip_factors(sq_norms, slice_starts, bound, dtype)
-            models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
-            loss_sum += float(losses.sum())
-
-        noise_total = step_noise(cfg, opt_state.step, params.dim, dtype)
-        mean_grad = (sum_clipped + noise_total) / batch_size
-
-        params, opt_state = sgd_step(params, FlatGradient(mean_grad, extents), lr, opt_state)
-        epsilon = accountant_hook(opt_state.step) if accountant_hook is not None else float("inf")
-        record = metrics.record_step(
-            sum_clipped, noise_total,
-            step=opt_state.step,
-            epoch=epoch,
-            lr=lr,
-            loss=loss_sum / cfg.effective_batch,
-            sigma=cfg.noise_multiplier,
-            epsilon=epsilon,
-        )
-        records.append(record)
-        if metrics_hook is not None:
-            metrics_hook(record)
+            records.append(record)
+            if metrics_hook is not None:
+                metrics_hook(record)
     return params, opt_state, records

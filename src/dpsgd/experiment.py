@@ -8,6 +8,7 @@ can be re-run individually from that derived seed.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import time
@@ -186,9 +187,9 @@ def run_sweep(cfg: config_mod.ExperimentConfig):
 
     frontier_path = out_dir / "frontier.csv"
     with open(frontier_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(FRONTIER_FIELDS) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(FRONTIER_FIELDS)
+        writer.writerows(rows)
     return frontier_path, results
 
 

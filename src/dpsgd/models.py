@@ -149,6 +149,10 @@ LAYER_KINDS = {
 # small enough that a 3x32x32 CNN runs one example per chunk, large enough
 # that an MLP runs a batch of hundreds as one chunk.
 CHUNK_BYTES = 2 << 20
+# Rows per evaluation forward, at most. The MLP's (32, 64) x (64, 64) product
+# stays below OpenBLAS's two-thread size (m n k over 262,144), whose idle
+# worker would otherwise spin on the second CPU through the next epoch.
+EVAL_ROWS = 32
 
 
 def _layer_kind(idx: int, layer: LayerSpec) -> tuple:
@@ -277,8 +281,9 @@ def per_example_gradient(spec: ModelSpec, params: ParamSet, example: np.ndarray,
 
 
 def evaluate_accuracy(spec: ModelSpec, params: ParamSet, examples: np.ndarray, labels: np.ndarray) -> float:
-    """Share of examples whose argmax logit is the label, forwarded in chunks."""
-    step = chunk_size(params)
+    """Share of examples whose argmax logit is the label, forwarded in chunks
+    of at most EVAL_ROWS rows."""
+    step = min(chunk_size(params), EVAL_ROWS)
     correct = 0
     for start in range(0, len(labels), step):
         logits, _ = _forward(spec, params, examples[start : start + step])

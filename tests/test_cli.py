@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -262,6 +263,24 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert "failed" in rows[0]
         assert rows[1].endswith(",ok")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_status_with_commas_reads_back_as_one_field(self, tmp_path):
+        # A rate of 1e30 overflows after the first step; the status names the
+        # step, position and layer, with commas, and must stay one CSV field.
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            base_config(tmp_path / "out", "sweep.grad_acc_count = 4,8\n")
+            .replace("optimizer.base_lr = 0.02", "optimizer.base_lr = 1e30")
+        )
+        assert cli.main(["sweep", str(path)]) == 0
+        with open(tmp_path / "out" / "frontier.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["grad_acc"] for row in rows] == ["4", "8"]
+        for row in rows:
+            assert None not in row and list(row) == list(experiment.FRONTIER_FIELDS)
+            assert row["status"] == "failed: non-finite gradient at step 1, batch position 0, layer 0 (offset 0, length 104)"
+            assert row["best_accuracy"] == row["best_epoch"] == row["epsilon_at_best"] == ""
 
     def test_grid_point_rerunnable_from_derived_seed(self, tmp_path):
         path = write_config(tmp_path, extra="sweep.grad_acc_count = 4,8\n")

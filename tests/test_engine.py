@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +275,40 @@ class TestNoise:
         got = engine.step_noise(self.cfg(sigma=0.0, placement=placement), 3, 10, np.float32)
         assert got.dtype == np.float32 and got.shape == (10,) and not got.any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_noise_bytes_do_not_depend_on_drawing_threads(self, dtype, monkeypatch):
+        # 1, 2 and 3 threads, in one block or in blocks of two rows, give the
+        # bytes of the one-thread, one-block draw. A short switch interval
+        # makes threads interleave often, so a position drawn twice or
+        # skipped would show.
+        cfg = self.cfg(sigma=1.3, clip=0.7, batch=7)
+        dim = 4810
+        totals = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(engine, "drawing_threads", lambda streams, n=threads: min(n, streams))
+                for block_rows in (7, 2):
+                    monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", block_rows * dim * np.dtype(dtype).itemsize)
+                    for step in range(20):
+                        totals[threads, block_rows, step] = engine.step_noise(cfg, step, dim, dtype).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        for (threads, block_rows, step), total in totals.items():
+            assert total == totals[1, 7, step], (threads, block_rows, step)
+
+    def test_a_failing_helper_raises_in_the_caller_naming_the_step(self, monkeypatch):
+        def broken(draws, job):
+            raise ValueError("helper broke")
+
+        monkeypatch.setattr(engine, "drawing_threads", lambda streams: min(2, streams))
+        monkeypatch.setattr(engine, "_helper_rows", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="noise draw failed at step 6: ValueError.*helper broke"):
+            engine.step_noise(self.cfg(batch=4), 6, 10, np.float32)
+        assert threading.active_count() == before
+
 
 class TestAccumulate:
     def test_single_contribution_is_identity(self):
@@ -509,6 +546,32 @@ class TestTrainEpoch:
         assert calls["_reused_noise_stream"] == calls["sample_noise"] == 3 * streams_per_step
         assert calls["draws"] == 3 * streams_per_step * params.dim
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_example_run_bytes_do_not_depend_on_drawing_threads(self, dtype, monkeypatch):
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, seed=5)
+        runs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(engine, "drawing_threads", lambda streams, n=threads: min(n, streams))
+            params, records = self.run_once(cfg, epochs=2, dtype=dtype)
+            runs[threads] = (params.flat.tobytes(), records)
+        assert runs[1] == runs[2] == runs[3]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_replaced_draw_functions_see_every_draw_at_any_thread_count(self, threads, monkeypatch):
+        # Helpers never call a replaced draw function: while one is replaced,
+        # the caller draws every row itself.
+        monkeypatch.setattr(engine, "drawing_threads", lambda streams: min(threads, streams))
+        seen = []
+        sample_noise = engine.sample_noise
+
+        def counted(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return sample_noise(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "sample_noise", counted)
+        _, records = self.run_once(DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, seed=5))
+        assert len(seen) == 4 * len(records) and set(seen) == {threading.current_thread()}
+
     def test_wrong_batch_size_is_protocol_error(self):
         spec, params, ds = self.setup_problem()
         cfg = DpConfig(clip_norm=1.0, noise_multiplier=0.0, grad_acc_count=5, seed=1)
@@ -656,6 +719,35 @@ class TestBatchedPath:
             engine.train_epoch(spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state)
         assert np.array_equal(params.flat, before)
         assert state.step == 5 and not state.velocity.any()
+
+    def test_non_finite_example_while_a_helper_draws_leaves_no_thread(self, monkeypatch):
+        # The step fails in its gradient chunks while the helper is still on
+        # the step's rows; train_epoch joins the helper before it raises.
+        spec, params, examples, labels = self.problem("mlp", dtype=np.float32)
+        examples[2, 1] = np.nan
+        monkeypatch.setattr(engine, "drawing_threads", lambda streams: min(2, streams))
+        helper_rows, check = engine._helper_rows, engine._check_finite_norms
+        drawing, finished = threading.Event(), threading.Event()
+
+        def slow_helper(draws, job):
+            drawing.set()
+            time.sleep(0.1)
+            helper_rows(draws, job)
+            finished.set()
+
+        def check_once_helper_draws(*args, **kwargs):
+            assert drawing.wait(5.0)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_helper_rows", slow_helper)
+        monkeypatch.setattr(engine, "_check_finite_norms", check_once_helper_draws)
+        before = threading.active_count()
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=self.B, seed=1)
+        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), momentum=0.9, step=5)
+        with pytest.raises(NonFiniteGradientError, match="step 5, batch position 2"):
+            engine.train_epoch(spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state)
+        assert finished.is_set()
+        assert threading.active_count() == before
 
 
 class TestDpConfigValidation:

@@ -238,6 +238,31 @@ def test_batched_evaluation_equals_per_example_argmax_count(which, monkeypatch):
         assert models.evaluate_accuracy(spec, params, examples, labels) == count / 20
 
 
+def test_evaluation_forwards_at_most_eval_rows_and_counts_as_one_forward(monkeypatch):
+    # The benchmark MLP's 400 evaluation rows: one 400-row forward and 32-row
+    # forwards count the same matches, and no forward sees more than 32 rows.
+    spec = models.mlp_spec(64, [64], 10)
+    params = models.build_model(spec, seed=3)
+    rng = np.random.default_rng(3)
+    examples = rng.standard_normal((400, 64)).astype(np.float32)
+    labels = rng.integers(0, 10, size=400)
+    sizes = []
+    forward = models._forward
+
+    def spy(spec, params, rows):
+        sizes.append(len(rows))
+        return forward(spec, params, rows)
+
+    monkeypatch.setattr(models, "_forward", spy)
+    chunked = models.evaluate_accuracy(spec, params, examples, labels)
+    assert models.EVAL_ROWS == 32 and max(sizes) == 32 and sum(sizes) == 400
+    sizes.clear()
+    monkeypatch.setattr(models, "EVAL_ROWS", 400)
+    whole = models.evaluate_accuracy(spec, params, examples, labels)
+    assert sizes == [400]
+    assert 0 < whole == chunked < 1
+
+
 def test_traced_functions_exist_and_see_every_layer_call(monkeypatch):
     # The benchmark's tracer replaces the functions it names by setattr on
     # their module, and its untraced step clock replaces engine.train_epoch and
