@@ -10,14 +10,18 @@ normal transform.
 
 A step's per-example noise rows are drawn by the calling thread and one
 helper thread per further CPU (NoiseDraws). The helpers start on the rows
-when the step starts, and the caller joins them once its gradient chunks
-are done. The caller adds the rows to the noise total in batch-position
-order, so the bytes depend on neither the number of drawing threads nor the
-number of BLAS threads.
+when the step starts and work through all of its blocks while the caller
+computes; the caller joins them once its gradient chunks are done. The
+thread that draws a block's last row adds the block's rows to the noise
+total in batch-position order. OpenBLAS runs one thread inside train_epoch,
+so that the second CPU goes to the helpers. The bytes depend on neither the
+number of drawing threads nor the number of BLAS threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 import os
@@ -281,17 +285,22 @@ def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Gene
 
 def drawing_threads(streams: int) -> int:
     """Threads that draw a step's noise streams: the caller and one helper per
-    further CPU, at most one per stream."""
-    return min(os.cpu_count() or 1, streams)
+    further CPU this process may run on, at most one per stream."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, streams)
 
 
 class NoiseDraws:
     """Draws the per-example noise rows of one train_epoch call's steps.
 
-    The rows go, in blocks of at most DRAW_BLOCK_BYTES and at least one row
-    per thread, into one buffer. The caller and drawing_threads(B) - 1
-    helpers each take the next batch position from a shared counter; the
-    caller adds each block's rows to the total in position order. While
+    A step's rows go, in blocks of at most DRAW_BLOCK_BYTES and at least one
+    row per thread, into one buffer. drawing_threads(B) - 1 helpers start on
+    the step's first block when the step begins, and the caller draws
+    whatever rows are left once its gradient chunks are done. Each thread
+    takes the next batch position of the open block from a shared counter.
+    The thread that draws a block's last row adds the block's rows to the
+    step's total in position order and opens the next block, so the helpers
+    work through every block while the caller computes. While
     engine.sample_noise or engine._reused_noise_stream is replaced, the
     caller draws every row, so that the replacement sees every draw. Inert
     when the config draws no per-example noise.
@@ -307,6 +316,9 @@ class NoiseDraws:
         self.threads = 1 if hooked else drawing_threads(batch)
         row_bytes = max(1, dim * np.dtype(dtype).itemsize)
         self.rows = np.empty((min(batch, max(self.threads, DRAW_BLOCK_BYTES // row_bytes)), dim), dtype=dtype)
+        # Signalled when a block is added, and when the draws stop because a
+        # helper failed or the train_epoch call is leaving.
+        self.changed, self.stopped = threading.Condition(), False
         if self.threads > 1:
             # Imported here: concurrent.futures loads logging, about 7 ms that
             # runs without helpers need not pay.
@@ -318,51 +330,134 @@ class NoiseDraws:
         return self
 
     def __exit__(self, *exc_info):
-        """Join the helpers, also when a step failed while they drew."""
+        """Stop and join the helpers, also when a step failed while they drew."""
         if self.pool is not None:
+            self.stop()
             self.pool.shutdown(wait=True, cancel_futures=True)
 
-    def begin(self, step: int, first: int = 0) -> None:
-        """Hand the block of step's rows from batch position first to the helpers."""
+    def stop(self) -> None:
+        """Release every thread that draws or waits for a block."""
+        with self.changed:
+            self.stopped = True
+            self.changed.notify_all()
+
+    def begin(self, step: int) -> None:
+        """Open the first block of step's rows, from a zero total, and hand it to the helpers."""
         if self.rows is None:
             return
-        end = min(first + len(self.rows), self.cfg.effective_batch)
-        self.job = job = (step, first, end, itertools.count(first))
+        self.step, self.total = step, np.zeros(self.rows.shape[1], dtype=self.rows.dtype)
+        self.open(0)
         if self.pool is not None:
-            self.helpers = [self.pool.submit(_helper_rows, self, job) for _ in range(self.threads - 1)]
+            self.helpers = [self.pool.submit(self.helper, step) for _ in range(self.threads - 1)]
 
-    def draw(self, job, stream, sample) -> None:
-        """Draw rows of job's block until its positions run out. Each next()
-        on the shared itertools.count is one C call, so under the interpreter
-        lock every position goes to exactly one thread."""
-        step, first, end, positions = job
+    def open(self, first: int) -> None:
+        """Make the block from batch position first the open one: its end, and
+        shared counters of the positions handed out and of the rows drawn."""
+        end = min(first + len(self.rows), self.cfg.effective_batch)
+        self.block = (first, end, itertools.count(first), itertools.count(1))
+
+    def helper(self, step: int) -> None:
+        """One helper's rows of step. A failure stops the other threads before
+        it propagates, so none of them waits for a row that will not come."""
+        try:
+            _helper_rows(self, step)
+        except BaseException:
+            self.stop()
+            raise
+
+    def draw(self, step: int, stream, sample) -> None:
+        """Draw rows of step's blocks until the last block's positions run out
+        or the draws stop. Each next() on a shared itertools.count is one C
+        call, so under the interpreter lock every position, and every count
+        of a drawn row, goes to exactly one thread."""
         dim, dtype = self.rows.shape[1], self.rows.dtype
-        for position in positions:
-            if position >= end:
+        while not self.stopped and (block := self.block) is not None:
+            first, end, positions, drawn = block
+            position = next(positions)
+            if position < end:
+                sample(stream(self.cfg.seed, step, position), dim, dtype, self.std, out=self.rows[position - first])
+                if next(drawn) == end - first:
+                    self.add(first, end)
+            elif end == self.cfg.effective_batch:
                 return
-            sample(stream(self.cfg.seed, step, position), dim, dtype, self.std, out=self.rows[position - first])
+            else:
+                with self.changed:
+                    self.changed.wait_for(lambda: self.block is not block or self.stopped)
 
-    def add_rows(self, total: np.ndarray) -> np.ndarray:
-        """Add the begun step's rows to total in position order, block by block."""
-        while True:
-            step, first, end, _ = job = self.job
-            self.draw(job, _reused_noise_stream, sample_noise)
-            helpers, self.helpers = self.helpers, []
-            for helper in helpers:
-                try:
-                    helper.result()
-                except Exception as exc:
-                    raise RuntimeError(f"noise draw failed at step {step}: {exc!r}") from exc
-            for row in self.rows[: end - first]:
-                total += row
+    def add(self, first: int, end: int) -> None:
+        """Add the drawn block's rows to the total in position order, then open
+        the next block, or close the step after its last block."""
+        for row in self.rows[: end - first]:
+            self.total += row
+        with self.changed:
             if end == self.cfg.effective_batch:
-                return total
-            self.begin(step, end)
+                self.block = None
+            else:
+                self.open(end)
+            self.changed.notify_all()
+
+    def total_noise(self) -> np.ndarray:
+        """The begun step's noise total: the caller draws the rows left, waits
+        until the last block is added and joins the helpers."""
+        step = self.step
+        self.draw(step, _reused_noise_stream, sample_noise)
+        with self.changed:
+            self.changed.wait_for(lambda: self.block is None or self.stopped)
+        helpers, self.helpers = self.helpers, []
+        for helper in helpers:
+            try:
+                helper.result()
+            except Exception as exc:
+                raise RuntimeError(f"noise draw failed at step {step}: {exc!r}") from exc
+        return self.total
 
 
-def _helper_rows(draws: NoiseDraws, job) -> None:
-    """A helper thread's rows of job's block, drawn through _IMPORTED_DRAW."""
-    draws.draw(job, *_IMPORTED_DRAW)
+def _helper_rows(draws: NoiseDraws, step: int) -> None:
+    """A helper thread's rows of step, drawn through _IMPORTED_DRAW."""
+    draws.draw(step, *_IMPORTED_DRAW)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None if numpy did not load OpenBLAS. Found once, on first use,
+    from the libraries mapped into this process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                                   ("openblas_get_num_threads", "openblas_set_num_threads")):
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread, and restore the count it had on exit."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def step_noise(cfg: DpConfig, step: int, dim: int, dtype, draws: NoiseDraws | None = None) -> np.ndarray:
@@ -375,18 +470,18 @@ def step_noise(cfg: DpConfig, step: int, dim: int, dtype, draws: NoiseDraws | No
     calling thread. Zeros, with no draws, when sigma = 0. This is the only
     place a training step's noise is drawn."""
     dtype = np.dtype(dtype)
-    total = np.zeros(dim, dtype=dtype)
     if cfg.noise_multiplier == 0.0:
-        return total
+        return np.zeros(dim, dtype=dtype)
     if cfg.noise_placement == "batch":
         std = cfg.noise_multiplier * cfg.clip_norm
+        total = np.zeros(dim, dtype=dtype)
         total += sample_noise(_reused_noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX), dim, dtype, std)
         return total
-    if draws is not None:
-        return draws.add_rows(total)
-    with NoiseDraws(cfg, dim, dtype) as draws:
-        draws.begin(step)
-        return draws.add_rows(total)
+    if draws is None:
+        with NoiseDraws(cfg, dim, dtype) as draws:
+            draws.begin(step)
+            return draws.total_noise()
+    return draws.total_noise()
 
 
 def accumulate(contributions, batch_size: int) -> FlatGradient:
@@ -507,7 +602,9 @@ def train_epoch(
     to the batch total. Then step_noise adds up the step's noise total, the
     mean takes one sgd step, and the accountant and metrics hooks fire
     once. Helper threads start on the step's per-example noise rows when the
-    step starts and are joined when the call returns or raises. The step is
+    step starts and are joined when the call returns or raises. OpenBLAS
+    runs one thread for the whole call, and gets back the count it had when
+    the call returns or raises. The step is
     opt_state.step, which sgd_step advances: it keys the noise, and the
     record and the accountant hook read it after the update.
     Returns the RunRecords for the epoch; a failed step leaves params at the
@@ -524,7 +621,7 @@ def train_epoch(
 
     records = []
     batch_size = dtype.type(cfg.effective_batch)
-    with NoiseDraws(cfg, params.dim, dtype) as draws:
+    with _one_blas_thread(), NoiseDraws(cfg, params.dim, dtype) as draws:
         for batch in batches:
             if len(batch) != cfg.effective_batch:
                 raise ProtocolError(

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import sys
 import threading
 import time
@@ -308,6 +310,17 @@ class TestNoise:
         with pytest.raises(RuntimeError, match="noise draw failed at step 6: ValueError.*helper broke"):
             engine.step_noise(self.cfg(batch=4), 6, 10, np.float32)
         assert threading.active_count() == before
+
+    def test_drawing_threads_count_only_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # Pinned to one of two CPUs, a helper would compete with the caller.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert engine.drawing_threads(32) == 1
+        with engine.NoiseDraws(self.cfg(batch=8), 10, np.float32) as draws:
+            assert draws.threads == 1 and draws.pool is None
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert engine.drawing_threads(32) == 3 and engine.drawing_threads(2) == 2
 
 
 class TestAccumulate:
@@ -748,6 +761,208 @@ class TestBatchedPath:
             engine.train_epoch(spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state)
         assert finished.is_set()
         assert threading.active_count() == before
+
+
+class TestHelperBlocks:
+    """The helpers work through every block of a step while the caller computes."""
+
+    B = 8
+
+    def problem(self, threads, monkeypatch):
+        """An f32 MLP at B = 8, drawn in blocks of two rows by `threads` threads."""
+        spec = models.mlp_spec(6, [5], 3)
+        params = models.build_model(spec, seed=11, dtype=np.float32)
+        rng = np.random.default_rng(11)
+        examples = rng.standard_normal((self.B, 6)).astype(np.float32)
+        labels = rng.integers(0, 3, size=self.B)
+        monkeypatch.setattr(engine, "drawing_threads", lambda streams: min(threads, streams))
+        monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", 2 * params.dim * 4)
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.3, grad_acc_count=self.B, seed=7)
+        return spec, params, examples, labels, cfg
+
+    def watch_draws(self, monkeypatch, fail=lambda position: None):
+        """Replace the stream function of the caller and of the helpers alike, so
+        that helpers still draw. The replacement records (step, position,
+        thread) of every stream it keys, under a condition it notifies, and
+        then calls fail(position)."""
+        keyed, stream = [], engine._reused_noise_stream
+        changed = threading.Condition()
+
+        def watched(seed, step, position):
+            with changed:
+                keyed.append((step, position, threading.current_thread()))
+                changed.notify_all()
+            fail(position)
+            return stream(seed, step, position)
+
+        monkeypatch.setattr(engine, "_reused_noise_stream", watched)
+        monkeypatch.setattr(engine, "_IMPORTED_DRAW", (watched, engine.sample_noise))
+        return keyed, changed
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_helpers_draw_every_block_while_the_caller_computes(self, threads, monkeypatch):
+        # At 2 and 3 threads the caller's gradient chunk waits until the helpers
+        # have taken every position of the step, so the caller draws no row;
+        # each step's total is still bitwise the in-order sum of its streams.
+        spec, params, examples, labels, cfg = self.problem(threads, monkeypatch)
+        keyed, changed = self.watch_draws(monkeypatch)
+        example_gradients, record_step = models.example_gradients, metrics.record_step
+        chunks, totals = [], []
+
+        def slow_chunk(*args):
+            chunks.append(None)
+            if threads > 1:
+                with changed:
+                    assert changed.wait_for(lambda: len(keyed) == self.B * len(chunks), timeout=30)
+            return example_gradients(*args)
+
+        def spy(sum_clipped, noise_total, **kwargs):
+            totals.append(noise_total.copy())
+            return record_step(sum_clipped, noise_total, **kwargs)
+
+        monkeypatch.setattr(models, "example_gradients", slow_chunk)
+        monkeypatch.setattr(metrics, "record_step", spy)
+        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), momentum=0.9, step=2)
+        batches = [np.arange(self.B), np.arange(self.B)[::-1]]
+        engine.train_epoch(spec, params, examples, labels, batches, cfg, 0.1, state)
+
+        assert len(chunks) == len(totals) == 2
+        std = 1.3 / math.sqrt(self.B)
+        caller = threading.current_thread()
+        for step, total in zip((2, 3), totals):
+            want = np.zeros(params.dim, dtype=np.float32)
+            for position in range(self.B):
+                want += engine.sample_noise(engine.noise_stream(7, step, position), params.dim, np.dtype(np.float32), std)
+            assert total.tobytes() == want.tobytes(), step
+            drawers = [thread for s, _, thread in keyed if s == step]
+            assert sorted(p for s, p, _ in keyed if s == step) == list(range(self.B))
+            if threads == 1:
+                assert set(drawers) == {caller}
+            else:
+                assert caller not in drawers
+
+    def test_a_helper_failing_in_the_second_block_raises_naming_the_step(self, monkeypatch):
+        # The helper draws block 0 (positions 0 and 1), adds it, and fails on
+        # position 2 while the caller still computes. train_epoch runs in a
+        # guard thread, so that a hang fails the test instead of stalling it.
+        spec, params, examples, labels, cfg = self.problem(2, monkeypatch)
+        failed = threading.Event()
+
+        def fail(position):
+            if position == 2 and threading.current_thread().name.startswith("dpsgd-noise"):
+                failed.set()
+                raise ValueError("helper broke")
+
+        keyed, _ = self.watch_draws(monkeypatch, fail)
+        example_gradients = models.example_gradients
+
+        def slow_chunk(*args):
+            assert failed.wait(30)
+            return example_gradients(*args)
+
+        monkeypatch.setattr(models, "example_gradients", slow_chunk)
+        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), momentum=0.9, step=4)
+        outcome = []
+
+        def run():
+            try:
+                engine.train_epoch(spec, params, examples, labels, [np.arange(self.B)], cfg, 0.1, state)
+            except Exception as exc:
+                outcome.append(exc)
+
+        before = threading.active_count()
+        guard = threading.Thread(target=run, daemon=True)
+        guard.start()
+        guard.join(60)
+        assert not guard.is_alive(), "train_epoch still running 60 s after a helper failed"
+        assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
+        assert re.match(r"noise draw failed at step 4: ValueError.*helper broke", str(outcome[0]))
+        assert threading.active_count() == before
+        assert [p for _, p, thread in keyed if thread is not guard] == [0, 1, 2]
+        assert state.step == 4
+
+
+class TestBlasHold:
+    """train_epoch runs OpenBLAS on one thread and gives the count back."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        """The OpenBLAS thread count reader, with the count set to 2 for the
+        test and restored after it."""
+        found = engine._openblas_threads()
+        if found is None:
+            pytest.skip("numpy did not load OpenBLAS")
+        get, set_ = found
+        threads = get()
+        set_(2)
+        yield get
+        set_(threads)
+
+    def counting_chunks(self, monkeypatch, blas_threads):
+        """The BLAS thread counts that the gradient chunks run under."""
+        seen, example_gradients = [], models.example_gradients
+
+        def counted(*args):
+            seen.append(blas_threads())
+            return example_gradients(*args)
+
+        monkeypatch.setattr(models, "example_gradients", counted)
+        return seen
+
+    def train(self, spec, examples, labels, dtype, tmp_path, name):
+        """One per-layer clipped step over all examples, with per-example noise:
+        the params bytes and the metrics CSV bytes."""
+        batch = len(examples)
+        params = models.build_model(spec, seed=5, dtype=dtype)
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, mode="per_layer", grad_acc_count=batch, seed=5)
+        state = OptimizerState(np.zeros(params.dim, dtype=dtype), 0.9)
+        params, _, records = engine.train_epoch(spec, params, examples, labels, [np.arange(batch)], cfg, 0.1, state)
+        path = tmp_path / f"{name}.csv"
+        metrics.emit_csv(records, path)
+        return params.flat.tobytes(), path.read_bytes()
+
+    def test_the_count_reads_as_before_after_train_epoch_returns_or_raises(self, blas_threads, monkeypatch):
+        seen = self.counting_chunks(monkeypatch, blas_threads)
+        spec = models.mlp_spec(6, [5], 3)
+        params = models.build_model(spec, seed=3)
+        examples = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
+        labels = np.arange(4) % 3
+        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, seed=3)
+        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), 0.9)
+        engine.train_epoch(spec, params, examples, labels, [np.arange(4)], cfg, 0.1, state)
+        assert seen == [1] and blas_threads() == 2
+        examples[1, 0] = np.nan
+        with pytest.raises(NonFiniteGradientError, match="step 1, batch position 1"):
+            engine.train_epoch(spec, params, examples, labels, [np.arange(4)], cfg, 0.1, state)
+        assert seen == [1, 1] and blas_threads() == 2
+
+    def test_training_runs_when_no_openblas_is_found(self, monkeypatch, tmp_path):
+        spec = models.mlp_spec(6, [5], 3)
+        examples = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
+        labels = np.arange(4) % 3
+        held = self.train(spec, examples, labels, np.float32, tmp_path, "held")
+        monkeypatch.setattr(engine, "_openblas_threads", lambda: None)
+        assert self.train(spec, examples, labels, np.float32, tmp_path, "unheld") == held
+
+    @pytest.mark.parametrize("which", ["cnn_f64", "mlp_f32_b128"])
+    def test_bytes_do_not_depend_on_the_hold(self, which, blas_threads, monkeypatch, tmp_path):
+        # The CNN's per-example conv GEMMs, and at B = 128 the MLP's
+        # (64, 128) x (128, 64) weighted sum, are large enough for OpenBLAS to
+        # split over two threads when it is not held to one.
+        rng = np.random.default_rng(17)
+        if which == "cnn_f64":
+            spec, dtype, batch = models.cnn_spec((3, 32, 32)), np.float64, 4
+        else:
+            spec, dtype, batch = models.mlp_spec(64, [64], 10), np.float32, 128
+        examples = rng.standard_normal((batch, *spec.input_shape)).astype(dtype)
+        labels = rng.integers(0, spec.num_classes, size=batch)
+        seen = self.counting_chunks(monkeypatch, blas_threads)
+        held = self.train(spec, examples, labels, dtype, tmp_path, "held")
+        held_seen, seen[:] = set(seen), []
+        monkeypatch.setattr(engine, "_openblas_threads", lambda: None)
+        unheld = self.train(spec, examples, labels, dtype, tmp_path, "unheld")
+        assert held_seen == {1} and set(seen) == {2}
+        assert unheld == held
 
 
 class TestDpConfigValidation:
