@@ -25,6 +25,7 @@ Lists are comma separated. Every parse failure names the offending key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +188,22 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("data.images", "idx source needs data.images and data.labels")
     if source == "csv" and not config["data.path"]:
         fail("data.path", "csv source needs data.path")
+    for key in ("model.hidden", "model.channels"):
+        if min(config[key], default=1) < 1:
+            fail(key, f"widths must be >= 1, got {config[key]}")
+    for key in ("model.groups", "model.classes"):
+        if config[key] < 1:
+            fail(key, f"must be >= 1, got {config[key]}")
+    if not 0.0 <= config["data.spread"] < math.inf:
+        fail("data.spread", f"must be finite and >= 0, got {config['data.spread']}")
+    if config["data.eval_per_class"] < 0:
+        fail("data.eval_per_class", f"must be >= 0, got {config['data.eval_per_class']}")
     try:
         DpConfig(**{field: config[f"dp.{field}"] for field in _DP_FIELDS})
     except ConfigurationError as exc:
         raise ConfigurationError(f"{origin}: dp.{exc}") from exc
+    if config["dp.enabled"] and not math.isfinite(config["dp.clip_norm"]):
+        fail("dp.clip_norm", f"must be finite with dp.enabled on, got {config['dp.clip_norm']}")
     if config["train.epochs"] < 0:
         fail("train.epochs", "must be >= 0")
     if not 0.0 < config["train.delta"] < 1.0:
@@ -203,6 +216,8 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("optimizer.base_lr", "must be positive")
     if not 0.0 <= config["optimizer.momentum"] < 1.0:
         fail("optimizer.momentum", "must lie in [0, 1)")
+    if not 0.0 < config["optimizer.decay_factor"] < math.inf:
+        fail("optimizer.decay_factor", f"must be finite and > 0, got {config['optimizer.decay_factor']}")
 
 
 def build_model_spec(config: ExperimentConfig) -> models.ModelSpec:

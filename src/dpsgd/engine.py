@@ -13,9 +13,10 @@ helper thread per further CPU (NoiseDraws). The helpers start on the rows
 when the step starts and work through all of its blocks while the caller
 computes; the caller joins them once its gradient chunks are done. The
 thread that draws a block's last row adds the block's rows to the noise
-total in batch-position order. OpenBLAS runs one thread inside train_epoch,
-so that the second CPU goes to the helpers. The bytes depend on neither the
-number of drawing threads nor the number of BLAS threads.
+total in batch-position order. experiment.run_experiment holds OpenBLAS to
+one thread for the whole run (one_blas_thread), so that the second CPU goes
+to the helpers. The bytes depend on neither the number of drawing threads
+nor the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -256,9 +257,9 @@ def _reused_noise_stream(seed: int, step: int, example_index: int) -> np.random.
 
 
 def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float, out=None) -> np.ndarray:
-    """dim draws from rng times scale, in dtype; written into out if given."""
-    if out is None:
-        return rng.standard_normal(dim, dtype=dtype) * dtype.type(scale)
+    """dim draws from rng times scale, in dtype, written into out, which is
+    allocated when not given."""
+    out = np.empty(dim, dtype=dtype) if out is None else out
     rng.standard_normal(dim, dtype=dtype, out=out)
     out *= dtype.type(scale)
     return out
@@ -445,8 +446,9 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread, and restore the count it had on exit."""
+def one_blas_thread():
+    """Hold OpenBLAS to one thread, and restore the count it had on exit,
+    also when the body raises. Without OpenBLAS, nothing is held."""
     blas = _openblas_threads()
     if blas is None:
         yield
@@ -602,9 +604,7 @@ def train_epoch(
     to the batch total. Then step_noise adds up the step's noise total, the
     mean takes one sgd step, and the accountant and metrics hooks fire
     once. Helper threads start on the step's per-example noise rows when the
-    step starts and are joined when the call returns or raises. OpenBLAS
-    runs one thread for the whole call, and gets back the count it had when
-    the call returns or raises. The step is
+    step starts and are joined when the call returns or raises. The step is
     opt_state.step, which sgd_step advances: it keys the noise, and the
     record and the accountant hook read it after the update.
     Returns the RunRecords for the epoch; a failed step leaves params at the
@@ -621,7 +621,7 @@ def train_epoch(
 
     records = []
     batch_size = dtype.type(cfg.effective_batch)
-    with _one_blas_thread(), NoiseDraws(cfg, params.dim, dtype) as draws:
+    with NoiseDraws(cfg, params.dim, dtype) as draws:
         for batch in batches:
             if len(batch) != cfg.effective_batch:
                 raise ProtocolError(

@@ -78,48 +78,51 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
             f"effective batch {dp_cfg.effective_batch} exceeds dataset size {train_set.size}"
         )
 
-    params = models.build_model(spec, seed, dtype=dtype)
-    opt_state = engine.OptimizerState(
-        velocity=np.zeros(params.dim, dtype=dtype),
-        momentum=cfg["optimizer.momentum"],
-    )
-    hook = _make_accountant_hook(train_set.size, dp_cfg, cfg["train.delta"])
+    # One OpenBLAS thread for the whole run: the second CPU goes to the noise helpers.
+    with engine.one_blas_thread():
+        params = models.build_model(spec, seed, dtype=dtype)
+        opt_state = engine.OptimizerState(
+            velocity=np.zeros(params.dim, dtype=dtype),
+            momentum=cfg["optimizer.momentum"],
+        )
+        hook = _make_accountant_hook(train_set.size, dp_cfg, cfg["train.delta"])
 
-    records: list[metrics.RunRecord] = []
-    epoch_accuracy: list[float] = []
-    epoch_epsilon: list[float] = []
-    for epoch in range(cfg["train.epochs"]):
-        lr = engine.lr_schedule(
-            epoch,
-            cfg["optimizer.base_lr"],
-            dp_cfg.grad_acc_count,
-            cfg["optimizer.decay_epochs"],
-            cfg["optimizer.decay_factor"],
-            cfg["optimizer.lr_scaling"],
-        )
-        batches = data_mod.sample_batches(train_set, dp_cfg.effective_batch, seed, epoch)
-        params, opt_state, epoch_records = engine.train_epoch(
-            spec, params, train_set.examples, train_set.labels, batches, dp_cfg, lr, opt_state,
-            epoch=epoch,
-            accountant_hook=hook,
-        )
-        accuracy = models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
-        epoch_records[-1].accuracy = accuracy
-        epoch_accuracy.append(accuracy)
-        epoch_epsilon.append(hook(opt_state.step))
-        records.extend(epoch_records)
+        records: list[metrics.RunRecord] = []
+        epoch_accuracy: list[float] = []
+        epoch_epsilon: list[float] = []
+        for epoch in range(cfg["train.epochs"]):
+            lr = engine.lr_schedule(
+                epoch,
+                cfg["optimizer.base_lr"],
+                dp_cfg.grad_acc_count,
+                cfg["optimizer.decay_epochs"],
+                cfg["optimizer.decay_factor"],
+                cfg["optimizer.lr_scaling"],
+            )
+            batches = data_mod.sample_batches(train_set, dp_cfg.effective_batch, seed, epoch)
+            params, opt_state, epoch_records = engine.train_epoch(
+                spec, params, train_set.examples, train_set.labels, batches, dp_cfg, lr, opt_state,
+                epoch=epoch,
+                accountant_hook=hook,
+            )
+            accuracy = models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
+            epoch_records[-1].accuracy = accuracy
+            epoch_accuracy.append(accuracy)
+            epoch_epsilon.append(hook(opt_state.step))
+            records.extend(epoch_records)
+        if not epoch_accuracy:  # zero epochs: the untrained model, and no privacy spent
+            epoch_accuracy.append(
+                models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
+            )
+            epoch_epsilon.append(0.0)
 
     run_id = run_id_for(cfg, seed)
     csv_path = out_dir / f"{run_id}.csv"
     metrics.emit_csv(records, csv_path)
     params_path = out_dir / f"{run_id}_params.npz"
-    np.savez(params_path, flat=params.flat, seed=seed, dim=params.dim)
+    with metrics.replacing(params_path, binary=True) as handle:
+        np.savez(handle, flat=params.flat, seed=seed, dim=params.dim)
 
-    if not epoch_accuracy:  # zero epochs: the untrained model, and no privacy spent
-        epoch_accuracy.append(
-            models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
-        )
-        epoch_epsilon.append(0.0)
     best_epoch = int(np.argmax(epoch_accuracy))
     return RunResult(
         run_id=run_id,
@@ -186,7 +189,7 @@ def run_sweep(cfg: config_mod.ExperimentConfig):
             rows.append((str(grad_acc), _num(sigma), _num(clip), "", "", "", f"failed: {exc}"))
 
     frontier_path = out_dir / "frontier.csv"
-    with open(frontier_path, "w", encoding="utf-8", newline="") as handle:
+    with metrics.replacing(frontier_path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FRONTIER_FIELDS)
         writer.writerows(rows)

@@ -10,9 +10,12 @@ rather than forced to a number.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -69,10 +72,26 @@ def _cell(value) -> str:
     return format_float(float(value))
 
 
-def emit_csv(records, path) -> None:
-    """Write header plus one row per record (UTF-8, LF line endings)."""
+@contextlib.contextmanager
+def replacing(path, binary: bool = False):
+    """A new file that replaces path only once the body returns: written as a
+    temporary file in path's directory, then renamed over path. If the body
+    raises, the temporary file is removed and path keeps its old bytes."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(temporary, "wb") if binary else open(temporary, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def emit_csv(records, path) -> None:
+    """Write header plus one row per record (UTF-8, LF line endings), replacing path whole."""
+    try:
+        with replacing(path) as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_FIELDS)
             for record in records:

@@ -38,6 +38,21 @@ def write_config(tmp_path, extra="", name="run.cfg"):
     return path
 
 
+# A config value that each rule of config._validate rejects, with the keys it needs to reach the rule.
+BAD_VALUES = [
+    ("model.groups", "0", "model.kind = cnn\nmodel.input_shape = 3,8,8\nmodel.channels = 4\n"),
+    ("model.channels", "4,0", "model.kind = cnn\nmodel.input_shape = 3,8,8\nmodel.groups = 2\n"),
+    ("model.hidden", "8,0", ""),
+    ("model.classes", "0", ""),
+    ("optimizer.decay_factor", "nan", "optimizer.decay_epochs = 0\n"),
+    ("optimizer.decay_factor", "0", "optimizer.decay_epochs = 0\n"),
+    ("data.spread", "nan", ""),
+    ("data.spread", "-0.1", ""),
+    ("data.eval_per_class", "-1", ""),
+    ("dp.clip_norm", "inf", ""),
+]
+
+
 class TestRunCommand:
     def test_run_succeeds_and_writes_artifacts(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -74,6 +89,16 @@ class TestRunCommand:
         path.write_text("train.epochs = maybe\ntrain.output_dir = out\n")
         assert cli.main(["run", str(path)]) == 2
         assert "train.epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, extra", BAD_VALUES, ids=[f"{k}={v}" for k, v, _ in BAD_VALUES])
+    def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, key, value, extra):
+        lines = [line for line in base_config(tmp_path / "out").splitlines()
+                 if line.split(" = ")[0] not in (key, *(x.split(" = ")[0] for x in extra.splitlines()))]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines) + f"\n{extra}{key} = {value}\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert f": {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,11 @@ class TestParser:
     def test_nan_base_lr_rejected_at_parse_time(self):
         with pytest.raises(ConfigurationError, match=r"^test: optimizer\.base_lr: must be positive$"):
             parse(MINIMAL + "optimizer.base_lr = nan\n")
+
+    def test_infinite_clip_norm_parses_only_with_dp_off(self):
+        assert parse(MINIMAL + "dp.enabled = false\ndp.clip_norm = inf\n")["dp.clip_norm"] == math.inf
+        with pytest.raises(ConfigurationError, match=r"^test: dp\.clip_norm: must be finite"):
+            parse(MINIMAL + "dp.clip_norm = inf\n")
 
     def test_idx_source_requires_paths(self):
         with pytest.raises(ConfigurationError, match="data.images"):

@@ -4,13 +4,14 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import tiny_cnn_spec
 
-from dpsgd import data, engine, metrics, models
+from dpsgd import config as config_mod, data, engine, experiment, metrics, models, ops
 from dpsgd.engine import DpConfig, FlatGradient, OptimizerState
 from dpsgd.errors import ConfigurationError, NonFiniteGradientError, ProtocolError
 
@@ -883,7 +884,13 @@ class TestHelperBlocks:
 
 
 class TestBlasHold:
-    """train_epoch runs OpenBLAS on one thread and gives the count back."""
+    """run_experiment runs OpenBLAS on one thread and gives the count back."""
+
+    # Three classes of four examples in batches of four: three steps an epoch.
+    MLP = (
+        "model.kind = mlp\nmodel.input_shape = 6\nmodel.hidden = 5\nmodel.classes = 3\n"
+        "data.per_class = 4\ndp.grad_acc_count = 4\ntrain.seed = 3\n"
+    )
 
     @pytest.fixture
     def blas_threads(self):
@@ -898,70 +905,75 @@ class TestBlasHold:
         yield get
         set_(threads)
 
-    def counting_chunks(self, monkeypatch, blas_threads):
-        """The BLAS thread counts that the gradient chunks run under."""
-        seen, example_gradients = [], models.example_gradients
+    def counting_calls(self, monkeypatch, blas_threads):
+        """(function, BLAS thread count) for each call of the model's
+        initialisation, gradient chunks and evaluation, and of every linear
+        forward, which each of them runs."""
+        seen = []
 
-        def counted(*args):
-            seen.append(blas_threads())
-            return example_gradients(*args)
+        def spy(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(models, "example_gradients", counted)
+            def counted(*args, **kwargs):
+                seen.append((name, blas_threads()))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("build_model", "example_gradients", "evaluate_accuracy"):
+            spy(models, name)
+        spy(ops, "linear_forward")
         return seen
 
-    def train(self, spec, examples, labels, dtype, tmp_path, name):
-        """One per-layer clipped step over all examples, with per-example noise:
-        the params bytes and the metrics CSV bytes."""
-        batch = len(examples)
-        params = models.build_model(spec, seed=5, dtype=dtype)
-        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, mode="per_layer", grad_acc_count=batch, seed=5)
-        state = OptimizerState(np.zeros(params.dim, dtype=dtype), 0.9)
-        params, _, records = engine.train_epoch(spec, params, examples, labels, [np.arange(batch)], cfg, 0.1, state)
-        path = tmp_path / f"{name}.csv"
-        metrics.emit_csv(records, path)
-        return params.flat.tobytes(), path.read_bytes()
+    def run(self, text, tmp_path, name):
+        """run_experiment on the config text: the metrics CSV bytes and the params bytes."""
+        cfg = config_mod.parse_config_text(text + f"train.output_dir = {tmp_path / name}\n")
+        result = experiment.run_experiment(cfg)
+        return result.csv_path.read_bytes(), result.params_path.read_bytes()
 
-    def test_the_count_reads_as_before_after_train_epoch_returns_or_raises(self, blas_threads, monkeypatch):
-        seen = self.counting_chunks(monkeypatch, blas_threads)
-        spec = models.mlp_spec(6, [5], 3)
-        params = models.build_model(spec, seed=3)
-        examples = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
-        labels = np.arange(4) % 3
-        cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, seed=3)
-        state = OptimizerState(np.zeros(params.dim, dtype=np.float32), 0.9)
-        engine.train_epoch(spec, params, examples, labels, [np.arange(4)], cfg, 0.1, state)
-        assert seen == [1] and blas_threads() == 2
-        examples[1, 0] = np.nan
-        with pytest.raises(NonFiniteGradientError, match="step 1, batch position 1"):
-            engine.train_epoch(spec, params, examples, labels, [np.arange(4)], cfg, 0.1, state)
-        assert seen == [1, 1] and blas_threads() == 2
+    def test_the_count_reads_as_before_after_run_experiment_returns_or_raises(self, blas_threads, monkeypatch,
+                                                                               tmp_path):
+        seen = self.counting_calls(monkeypatch, blas_threads)
+        self.run(self.MLP + "train.epochs = 2\n", tmp_path, "returns")
+        calls = Counter(name for name, _ in seen)
+        # Two linear layers, forwarded by build_model, by 6 gradient chunks and by 2 evaluations of one chunk.
+        assert calls == {"build_model": 1, "example_gradients": 6, "evaluate_accuracy": 2, "linear_forward": 18}
+        assert {threads for _, threads in seen} == {1} and blas_threads() == 2
+        seen.clear()
+        with pytest.raises(NonFiniteGradientError, match="non-finite gradient at step 1"), np.errstate(all="ignore"):
+            self.run(self.MLP + "train.epochs = 2\noptimizer.base_lr = 1e30\n", tmp_path, "raises")
+        assert Counter(name for name, _ in seen)["example_gradients"] == 2
+        assert {threads for _, threads in seen} == {1} and blas_threads() == 2
+
+    def test_a_zero_epoch_run_evaluates_under_the_hold(self, blas_threads, monkeypatch, tmp_path):
+        seen = self.counting_calls(monkeypatch, blas_threads)
+        self.run(self.MLP + "train.epochs = 0\n", tmp_path, "untrained")
+        assert Counter(name for name, _ in seen) == {"build_model": 1, "linear_forward": 4, "evaluate_accuracy": 1}
+        assert {threads for _, threads in seen} == {1} and blas_threads() == 2
 
     def test_training_runs_when_no_openblas_is_found(self, monkeypatch, tmp_path):
-        spec = models.mlp_spec(6, [5], 3)
-        examples = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
-        labels = np.arange(4) % 3
-        held = self.train(spec, examples, labels, np.float32, tmp_path, "held")
+        text = self.MLP + "train.epochs = 2\n"
+        held = self.run(text, tmp_path, "held")
         monkeypatch.setattr(engine, "_openblas_threads", lambda: None)
-        assert self.train(spec, examples, labels, np.float32, tmp_path, "unheld") == held
+        assert self.run(text, tmp_path, "unheld") == held
 
     @pytest.mark.parametrize("which", ["cnn_f64", "mlp_f32_b128"])
     def test_bytes_do_not_depend_on_the_hold(self, which, blas_threads, monkeypatch, tmp_path):
         # The CNN's per-example conv GEMMs, and at B = 128 the MLP's
         # (64, 128) x (128, 64) weighted sum, are large enough for OpenBLAS to
         # split over two threads when it is not held to one.
-        rng = np.random.default_rng(17)
         if which == "cnn_f64":
-            spec, dtype, batch = models.cnn_spec((3, 32, 32)), np.float64, 4
+            text = ("model.kind = cnn\nmodel.input_shape = 3,32,32\nmodel.classes = 2\ndata.per_class = 2\n"
+                    "train.precision = f64\ndp.grad_acc_count = 4\n")
         else:
-            spec, dtype, batch = models.mlp_spec(64, [64], 10), np.float32, 128
-        examples = rng.standard_normal((batch, *spec.input_shape)).astype(dtype)
-        labels = rng.integers(0, spec.num_classes, size=batch)
-        seen = self.counting_chunks(monkeypatch, blas_threads)
-        held = self.train(spec, examples, labels, dtype, tmp_path, "held")
-        held_seen, seen[:] = set(seen), []
+            text = "model.input_shape = 64\nmodel.hidden = 64\ndata.per_class = 13\ndp.grad_acc_count = 128\n"
+        text += "dp.mode = per_layer\ntrain.epochs = 1\ntrain.seed = 5\n"
+        seen = self.counting_calls(monkeypatch, blas_threads)
+        held = self.run(text, tmp_path, "held")
+        held_seen, seen[:] = {threads for _, threads in seen}, []
         monkeypatch.setattr(engine, "_openblas_threads", lambda: None)
-        unheld = self.train(spec, examples, labels, dtype, tmp_path, "unheld")
-        assert held_seen == {1} and set(seen) == {2}
+        unheld = self.run(text, tmp_path, "unheld")
+        assert held_seen == {1} and {threads for _, threads in seen} == {2}
         assert unheld == held
 
 

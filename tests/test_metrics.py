@@ -119,6 +119,40 @@ class TestEmitCsv:
         with pytest.raises(RuntimeError, match="out.csv"):
             metrics.emit_csv([], bad)
 
+    def test_failed_rewrite_keeps_the_old_bytes_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        metrics.emit_csv(make_records(3), path)
+        old = path.read_bytes()
+        writer = csv.writer
+
+        class FailsAfterFirstRow:
+            def __init__(self, handle, **kwargs):
+                self.rows, self.writer = 0, writer(handle, **kwargs)
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError("no space left on device")
+                self.rows += 1
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsAfterFirstRow)
+        with pytest.raises(RuntimeError, match="run.csv: no space left"):
+            metrics.emit_csv(make_records(5), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    def test_binary_replacement_keeps_the_old_bytes_when_the_body_raises(self, tmp_path):
+        path = tmp_path / "params.npz"
+        with metrics.replacing(path, binary=True) as handle:
+            np.savez(handle, flat=np.arange(3.0))
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="interrupted"):
+            with metrics.replacing(path, binary=True) as handle:
+                handle.write(b"PK")
+                raise ValueError("interrupted")
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["params.npz"]
+
     def test_nine_significant_digits(self):
         assert metrics.format_float(1 / 3) == "0.333333333"
         assert metrics.format_float(123456789.123) == "123456789"

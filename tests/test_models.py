@@ -238,9 +238,9 @@ def test_batched_evaluation_equals_per_example_argmax_count(which, monkeypatch):
         assert models.evaluate_accuracy(spec, params, examples, labels) == count / 20
 
 
-def test_evaluation_forwards_at_most_eval_rows_and_counts_as_one_forward(monkeypatch):
+def test_chunked_evaluation_counts_as_one_forward(monkeypatch):
     # The benchmark MLP's 400 evaluation rows: one 400-row forward and 32-row
-    # forwards count the same matches, and no forward sees more than 32 rows.
+    # forwards count the same matches.
     spec = models.mlp_spec(64, [64], 10)
     params = models.build_model(spec, seed=3)
     rng = np.random.default_rng(3)
@@ -254,10 +254,11 @@ def test_evaluation_forwards_at_most_eval_rows_and_counts_as_one_forward(monkeyp
         return forward(spec, params, rows)
 
     monkeypatch.setattr(models, "_forward", spy)
+    monkeypatch.setattr(models, "CHUNK_BYTES", 32 * params.example_bytes)
     chunked = models.evaluate_accuracy(spec, params, examples, labels)
-    assert models.EVAL_ROWS == 32 and max(sizes) == 32 and sum(sizes) == 400
+    assert sizes == [32] * 12 + [16]
     sizes.clear()
-    monkeypatch.setattr(models, "EVAL_ROWS", 400)
+    monkeypatch.setattr(models, "CHUNK_BYTES", 400 * params.example_bytes)
     whole = models.evaluate_accuracy(spec, params, examples, labels)
     assert sizes == [400]
     assert 0 < whole == chunked < 1
