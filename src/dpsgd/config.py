@@ -188,16 +188,26 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("data.images", "idx source needs data.images and data.labels")
     if source == "csv" and not config["data.path"]:
         fail("data.path", "csv source needs data.path")
-    for key in ("model.hidden", "model.channels"):
+    for key in ("model.input_shape", "model.hidden", "model.channels"):
         if min(config[key], default=1) < 1:
-            fail(key, f"widths must be >= 1, got {config[key]}")
-    for key in ("model.groups", "model.classes"):
+            fail(key, f"entries must be >= 1, got {config[key]}")
+    for key in ("model.groups", "model.classes", "data.per_class"):
         if config[key] < 1:
             fail(key, f"must be >= 1, got {config[key]}")
+    if source == "synth" and math.prod(config["model.input_shape"]) < config["model.classes"]:
+        fail("model.input_shape", f"synthetic data needs at least {config['model.classes']} values (model.classes) "
+                                  f"per example, got {config['model.input_shape']}")
+    # A sweep runs train.seed + i at its i-th point, and the noise keys take seeds modulo 2**64.
+    points = math.prod(len(config[key]) or 1 for key in ("sweep.grad_acc_count", "sweep.noise_multiplier",
+                                                          "sweep.clip_norm"))
+    if not 0 <= config["train.seed"] <= 2**64 - points:
+        fail("train.seed", f"must lie in [0, 2**64 - {points}], so that each of the {points} run seeds "
+                           f"is below 2**64; got {config['train.seed']}")
     if not 0.0 <= config["data.spread"] < math.inf:
         fail("data.spread", f"must be finite and >= 0, got {config['data.spread']}")
-    if config["data.eval_per_class"] < 0:
-        fail("data.eval_per_class", f"must be >= 0, got {config['data.eval_per_class']}")
+    for key in ("data.eval_per_class", "data.seed"):
+        if config[key] < 0:
+            fail(key, f"must be >= 0, got {config[key]}")
     try:
         DpConfig(**{field: config[f"dp.{field}"] for field in _DP_FIELDS})
     except ConfigurationError as exc:

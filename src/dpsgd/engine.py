@@ -10,10 +10,10 @@ normal transform.
 
 A step's per-example noise rows are drawn by the calling thread and one
 helper thread per further CPU (NoiseDraws). The helpers start on the rows
-when the step starts and work through all of its blocks while the caller
-computes; the caller joins them once its gradient chunks are done. The
-thread that draws a block's last row adds the block's rows to the noise
-total in batch-position order. experiment.run_experiment holds OpenBLAS to
+when the step starts and draw while the caller computes; the caller draws
+what is left once its gradient chunks are done, and joins them. Each thread
+adds the one row it drew to the noise total in its turn, so the rows are
+added in batch-position order. experiment.run_experiment holds OpenBLAS to
 one thread for the whole run (one_blas_thread), so that the second CPU goes
 to the helpers. The bytes depend on neither the number of drawing threads
 nor the number of BLAS threads.
@@ -270,9 +270,6 @@ def sample_noise(rng: np.random.Generator, dim: int, dtype, scale: float, out=No
 # only ever run on the calling thread.
 _IMPORTED_DRAW = (_reused_noise_stream, sample_noise)
 
-# Bytes of drawn per-example noise rows held at once.
-DRAW_BLOCK_BYTES = 1 << 20
-
 
 def noise_per_example(gradient: FlatGradient, cfg: DpConfig, rng: np.random.Generator) -> FlatGradient:
     """Add i.i.d. Gaussian noise with per-coordinate variance
@@ -294,30 +291,26 @@ def drawing_threads(streams: int) -> int:
 class NoiseDraws:
     """Draws the per-example noise rows of one train_epoch call's steps.
 
-    A step's rows go, in blocks of at most DRAW_BLOCK_BYTES and at least one
-    row per thread, into one buffer. drawing_threads(B) - 1 helpers start on
-    the step's first block when the step begins, and the caller draws
-    whatever rows are left once its gradient chunks are done. Each thread
-    takes the next batch position of the open block from a shared counter.
-    The thread that draws a block's last row adds the block's rows to the
-    step's total in position order and opens the next block, so the helpers
-    work through every block while the caller computes. While
-    engine.sample_noise or engine._reused_noise_stream is replaced, the
-    caller draws every row, so that the replacement sees every draw. Inert
-    when the config draws no per-example noise.
+    drawing_threads(B) - 1 helpers start on a step's rows when the step
+    begins, and the caller draws whatever rows are left once its gradient
+    chunks are done. Each thread takes the next batch position from a shared
+    counter, draws that row into its own one-row buffer, and adds it to the
+    step's total in its turn, once every earlier position is added. So the
+    rows are added in position order, and each drawing thread holds at most
+    one row. While engine.sample_noise or engine._reused_noise_stream is
+    replaced, the caller draws every row, so that the replacement sees every
+    draw. Inert when the config draws no per-example noise.
     """
 
     def __init__(self, cfg: DpConfig, dim: int, dtype):
-        self.cfg, self.rows, self.pool, self.helpers = cfg, None, None, []
-        if cfg.noise_placement != "per_example" or cfg.noise_multiplier == 0.0:
+        self.cfg, self.dim, self.dtype, self.pool, self.helpers = cfg, dim, np.dtype(dtype), None, []
+        self.active = cfg.noise_placement == "per_example" and cfg.noise_multiplier != 0.0
+        if not self.active:
             return
-        batch = cfg.effective_batch
-        self.std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(batch)
+        self.std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(cfg.effective_batch)
         hooked = (_reused_noise_stream, sample_noise) != _IMPORTED_DRAW
-        self.threads = 1 if hooked else drawing_threads(batch)
-        row_bytes = max(1, dim * np.dtype(dtype).itemsize)
-        self.rows = np.empty((min(batch, max(self.threads, DRAW_BLOCK_BYTES // row_bytes)), dim), dtype=dtype)
-        # Signalled when a block is added, and when the draws stop because a
+        self.threads = 1 if hooked else drawing_threads(cfg.effective_batch)
+        # Signalled when a row is added, and when the draws stop because a
         # helper failed or the train_epoch call is leaving.
         self.changed, self.stopped = threading.Condition(), False
         if self.threads > 1:
@@ -337,25 +330,19 @@ class NoiseDraws:
             self.pool.shutdown(wait=True, cancel_futures=True)
 
     def stop(self) -> None:
-        """Release every thread that draws or waits for a block."""
+        """Release every thread that draws or waits for its turn."""
         with self.changed:
             self.stopped = True
             self.changed.notify_all()
 
     def begin(self, step: int) -> None:
-        """Open the first block of step's rows, from a zero total, and hand it to the helpers."""
-        if self.rows is None:
+        """Start step's rows from a zero total and position 0, and hand them to the helpers."""
+        if not self.active:
             return
-        self.step, self.total = step, np.zeros(self.rows.shape[1], dtype=self.rows.dtype)
-        self.open(0)
+        self.step, self.total = step, np.zeros(self.dim, dtype=self.dtype)
+        self.positions, self.added = itertools.count(), 0
         if self.pool is not None:
             self.helpers = [self.pool.submit(self.helper, step) for _ in range(self.threads - 1)]
-
-    def open(self, first: int) -> None:
-        """Make the block from batch position first the open one: its end, and
-        shared counters of the positions handed out and of the rows drawn."""
-        end = min(first + len(self.rows), self.cfg.effective_batch)
-        self.block = (first, end, itertools.count(first), itertools.count(1))
 
     def helper(self, step: int) -> None:
         """One helper's rows of step. A failure stops the other threads before
@@ -367,43 +354,27 @@ class NoiseDraws:
             raise
 
     def draw(self, step: int, stream, sample) -> None:
-        """Draw rows of step's blocks until the last block's positions run out
-        or the draws stop. Each next() on a shared itertools.count is one C
-        call, so under the interpreter lock every position, and every count
-        of a drawn row, goes to exactly one thread."""
-        dim, dtype = self.rows.shape[1], self.rows.dtype
-        while not self.stopped and (block := self.block) is not None:
-            first, end, positions, drawn = block
-            position = next(positions)
-            if position < end:
-                sample(stream(self.cfg.seed, step, position), dim, dtype, self.std, out=self.rows[position - first])
-                if next(drawn) == end - first:
-                    self.add(first, end)
-            elif end == self.cfg.effective_batch:
-                return
-            else:
-                with self.changed:
-                    self.changed.wait_for(lambda: self.block is not block or self.stopped)
-
-    def add(self, first: int, end: int) -> None:
-        """Add the drawn block's rows to the total in position order, then open
-        the next block, or close the step after its last block."""
-        for row in self.rows[: end - first]:
-            self.total += row
-        with self.changed:
-            if end == self.cfg.effective_batch:
-                self.block = None
-            else:
-                self.open(end)
-            self.changed.notify_all()
+        """Draw and add rows of step until its positions run out or the draws
+        stop. Each next() on the shared itertools.count is one C call, so under
+        the interpreter lock every position goes to exactly one thread."""
+        row = np.empty(self.dim, dtype=self.dtype)
+        while not self.stopped and (position := next(self.positions)) < self.cfg.effective_batch:
+            sample(stream(self.cfg.seed, step, position), self.dim, self.dtype, self.std, out=row)
+            with self.changed:
+                self.changed.wait_for(lambda: self.added == position or self.stopped)
+                if self.stopped:
+                    return
+                self.total += row
+                self.added += 1
+                self.changed.notify_all()
 
     def total_noise(self) -> np.ndarray:
         """The begun step's noise total: the caller draws the rows left, waits
-        until the last block is added and joins the helpers."""
+        until the last row is added and joins the helpers."""
         step = self.step
         self.draw(step, _reused_noise_stream, sample_noise)
         with self.changed:
-            self.changed.wait_for(lambda: self.block is None or self.stopped)
+            self.changed.wait_for(lambda: self.added == self.cfg.effective_batch or self.stopped)
         helpers, self.helpers = self.helpers, []
         for helper in helpers:
             try:
@@ -510,31 +481,29 @@ def accumulate(contributions, batch_size: int) -> FlatGradient:
     return FlatGradient(mean, template.layer_extents, template.stage_partition)
 
 
-def _first_nonfinite_layer(gradient: FlatGradient) -> str:
-    finite = np.isfinite(gradient.values)
-    bad = int(np.argmin(finite))
-    for i, (offset, length) in enumerate(gradient.layer_extents or ()):
+def _first_nonfinite_layer(values: np.ndarray, layer_extents) -> str:
+    bad = int(np.argmin(np.isfinite(values)))
+    for i, (offset, length) in enumerate(layer_extents):
         if offset <= bad < offset + length:
             return f"layer {i} (offset {offset}, length {length})"
     return f"coordinate {bad}"
 
 
-def sgd_step(params: models.ParamSet, gradient: FlatGradient, lr: float, state: OptimizerState):
-    """Momentum SGD update: v <- mu v + g; theta <- theta - lr v."""
-    if gradient.dim != params.dim or state.velocity.size != params.dim:
+def sgd_step(params: models.ParamSet, mean_grad: np.ndarray, lr: float, state: OptimizerState):
+    """Momentum SGD update with the flat mean gradient g: v <- mu v + g; theta <- theta - lr v."""
+    if mean_grad.size != params.dim or state.velocity.size != params.dim:
         raise ConfigurationError(
-            f"dimension mismatch: params {params.dim}, gradient {gradient.dim}, "
+            f"dimension mismatch: params {params.dim}, gradient {mean_grad.size}, "
             f"velocity {state.velocity.size}"
         )
-    if not np.isfinite(gradient.values).all():
-        raise NonFiniteGradientError(
-            f"non-finite gradient at step {state.step} in {_first_nonfinite_layer(gradient)}"
-        )
+    if not np.isfinite(mean_grad).all():
+        where = _first_nonfinite_layer(mean_grad, params.layer_extents)
+        raise NonFiniteGradientError(f"non-finite gradient at step {state.step} in {where}")
     if state.momentum != 0.0:
         state.velocity *= state.velocity.dtype.type(state.momentum)
-        state.velocity += gradient.values
+        state.velocity += mean_grad
     else:
-        state.velocity[:] = gradient.values
+        state.velocity[:] = mean_grad
     params.flat -= params.flat.dtype.type(lr) * state.velocity
     state.step += 1
     return params, state
@@ -643,7 +612,7 @@ def train_epoch(
             noise_total = step_noise(cfg, opt_state.step, params.dim, dtype, draws)
             mean_grad = (sum_clipped + noise_total) / batch_size
 
-            params, opt_state = sgd_step(params, FlatGradient(mean_grad, extents), lr, opt_state)
+            params, opt_state = sgd_step(params, mean_grad, lr, opt_state)
             epsilon = accountant_hook(opt_state.step) if accountant_hook is not None else float("inf")
             record = metrics.record_step(
                 sum_clipped, noise_total,

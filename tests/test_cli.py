@@ -50,6 +50,14 @@ BAD_VALUES = [
     ("data.spread", "-0.1", ""),
     ("data.eval_per_class", "-1", ""),
     ("dp.clip_norm", "inf", ""),
+    ("data.per_class", "0", ""),
+    ("data.seed", "-1", ""),
+    ("train.seed", "-1", ""),
+    ("train.seed", str(2**64), ""),
+    ("train.seed", str(2**64 - 1), "sweep.grad_acc_count = 4,8\n"),
+    ("model.input_shape", "0", ""),
+    ("model.input_shape", "3,0,8", "model.kind = cnn\nmodel.channels = 4\nmodel.groups = 2\n"),
+    ("model.input_shape", "2", ""),
 ]
 
 

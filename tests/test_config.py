@@ -78,6 +78,19 @@ class TestParser:
         with pytest.raises(ConfigurationError, match=r"^test: dp\.clip_norm: must be finite"):
             parse(MINIMAL + "dp.clip_norm = inf\n")
 
+    def test_seeds_parse_up_to_the_last_that_keys_its_own_noise(self):
+        # The noise keys take train.seed modulo 2**64, and a sweep's point i runs train.seed + i.
+        assert parse(MINIMAL + f"train.seed = {2**64 - 1}\ndata.seed = 0\n")["train.seed"] == 2**64 - 1
+        sweep = "sweep.noise_multiplier = 1, 2\nsweep.clip_norm = 1, 2, 3\n"
+        assert parse(MINIMAL + sweep + f"train.seed = {2**64 - 6}\n")["train.seed"] == 2**64 - 6
+        with pytest.raises(ConfigurationError, match=r"^test: train\.seed: must lie in \[0, 2\*\*64 - 6\]"):
+            parse(MINIMAL + sweep + f"train.seed = {2**64 - 5}\n")
+
+    def test_synthetic_inputs_below_the_class_count_are_rejected_only_for_synth(self):
+        assert parse(MINIMAL + "data.source = csv\ndata.path = x.csv\nmodel.input_shape = 2\n")
+        with pytest.raises(ConfigurationError, match=r"^test: model\.input_shape: synthetic data needs at least 10"):
+            parse(MINIMAL + "model.input_shape = 3,1,3\n")
+
     def test_idx_source_requires_paths(self):
         with pytest.raises(ConfigurationError, match="data.images"):
             parse(MINIMAL + "data.source = idx\n")

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -280,10 +281,9 @@ class TestNoise:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_step_noise_bytes_do_not_depend_on_drawing_threads(self, dtype, monkeypatch):
-        # 1, 2 and 3 threads, in one block or in blocks of two rows, give the
-        # bytes of the one-thread, one-block draw. A short switch interval
-        # makes threads interleave often, so a position drawn twice or
-        # skipped would show.
+        # 2 and 3 threads give the bytes of the one-thread draw. A short switch
+        # interval makes threads interleave often, so a position drawn twice,
+        # skipped or added out of turn would show.
         cfg = self.cfg(sigma=1.3, clip=0.7, batch=7)
         dim = 4810
         totals = {}
@@ -292,14 +292,27 @@ class TestNoise:
         try:
             for threads in (1, 2, 3):
                 monkeypatch.setattr(engine, "drawing_threads", lambda streams, n=threads: min(n, streams))
-                for block_rows in (7, 2):
-                    monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", block_rows * dim * np.dtype(dtype).itemsize)
-                    for step in range(20):
-                        totals[threads, block_rows, step] = engine.step_noise(cfg, step, dim, dtype).tobytes()
+                for step in range(20):
+                    totals[threads, step] = engine.step_noise(cfg, step, dim, dtype).tobytes()
         finally:
             sys.setswitchinterval(interval)
-        for (threads, block_rows, step), total in totals.items():
-            assert total == totals[1, 7, step], (threads, block_rows, step)
+        for (threads, step), total in totals.items():
+            assert total == totals[1, step], (threads, step)
+
+    def test_one_step_holds_at_most_one_row_per_drawing_thread(self, monkeypatch):
+        # B = 256, d = 1,000, f32, two threads: the traced peak is the total,
+        # one row per drawing thread and the threads' own small objects.
+        monkeypatch.setattr(engine, "drawing_threads", lambda streams: min(2, streams))
+        cfg = self.cfg(batch=256)
+        dim = 1000
+        engine.step_noise(cfg, 0, dim, np.float32)  # imports the thread pool outside the trace
+        tracemalloc.start()
+        try:
+            engine.step_noise(cfg, 1, dim, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dim * 4, peak / (dim * 4)
 
     def test_a_failing_helper_raises_in_the_caller_naming_the_step(self, monkeypatch):
         def broken(draws, job):
@@ -362,7 +375,7 @@ class TestSgdStep:
         state = OptimizerState(velocity=np.zeros(params.dim), momentum=0.0)
         g = np.zeros(params.dim)
         g[:2] = [1.0, 2.0]
-        params, state = engine.sgd_step(params, flat(g), 1.0, state)
+        params, state = engine.sgd_step(params, g, 1.0, state)
         assert np.allclose(params.flat[:2], [-1.0, -2.0])
         assert state.step == 1
 
@@ -370,7 +383,7 @@ class TestSgdStep:
         params = self.make_params([0.5, -0.5])
         before = params.flat.copy()
         state = OptimizerState(velocity=np.zeros(params.dim), momentum=0.9)
-        params, _ = engine.sgd_step(params, flat(np.zeros(params.dim)), 0.1, state)
+        params, _ = engine.sgd_step(params, np.zeros(params.dim), 0.1, state)
         assert np.array_equal(params.flat, before)
 
     def test_two_momentum_steps_match_hand_unroll(self):
@@ -381,8 +394,8 @@ class TestSgdStep:
         g1 = np.zeros(d); g1[:2] = [1.0, -1.0]
         g2 = np.zeros(d); g2[:2] = [0.5, 2.0]
         state = OptimizerState(velocity=np.zeros(d), momentum=mu)
-        params, state = engine.sgd_step(params, flat(g1), lr, state)
-        params, state = engine.sgd_step(params, flat(g2), lr, state)
+        params, state = engine.sgd_step(params, g1, lr, state)
+        params, state = engine.sgd_step(params, g2, lr, state)
         want = -lr * g1[:2] - lr * (mu * g1[:2] + g2[:2])
         assert np.allclose(params.flat[:2], want, rtol=1e-12)
 
@@ -392,7 +405,7 @@ class TestSgdStep:
         g = np.zeros(params.dim)
         g[1] = np.nan
         with pytest.raises(NonFiniteGradientError, match="layer 0"):
-            engine.sgd_step(params, FlatGradient(g, params.layer_extents), 0.1, state)
+            engine.sgd_step(params, g, 0.1, state)
         assert np.array_equal(params.flat[:2], [0.0, 0.0])
 
 
@@ -765,19 +778,19 @@ class TestBatchedPath:
 
 
 class TestHelperBlocks:
-    """The helpers work through every block of a step while the caller computes."""
+    """The helpers work through a step's rows while the caller computes, and
+    each thread adds its row in position order."""
 
     B = 8
 
     def problem(self, threads, monkeypatch):
-        """An f32 MLP at B = 8, drawn in blocks of two rows by `threads` threads."""
+        """An f32 MLP at B = 8, drawn by `threads` threads."""
         spec = models.mlp_spec(6, [5], 3)
         params = models.build_model(spec, seed=11, dtype=np.float32)
         rng = np.random.default_rng(11)
         examples = rng.standard_normal((self.B, 6)).astype(np.float32)
         labels = rng.integers(0, 3, size=self.B)
         monkeypatch.setattr(engine, "drawing_threads", lambda streams: min(threads, streams))
-        monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", 2 * params.dim * 4)
         cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.3, grad_acc_count=self.B, seed=7)
         return spec, params, examples, labels, cfg
 
@@ -842,9 +855,9 @@ class TestHelperBlocks:
             else:
                 assert caller not in drawers
 
-    def test_a_helper_failing_in_the_second_block_raises_naming_the_step(self, monkeypatch):
-        # The helper draws block 0 (positions 0 and 1), adds it, and fails on
-        # position 2 while the caller still computes. train_epoch runs in a
+    def test_a_helper_failing_at_position_2_raises_naming_the_step(self, monkeypatch):
+        # The helper draws and adds positions 0 and 1, and fails on position 2
+        # while the caller still computes. train_epoch runs in a
         # guard thread, so that a hang fails the test instead of stalling it.
         spec, params, examples, labels, cfg = self.problem(2, monkeypatch)
         failed = threading.Event()
@@ -881,6 +894,54 @@ class TestHelperBlocks:
         assert threading.active_count() == before
         assert [p for _, p, thread in keyed if thread is not guard] == [0, 1, 2]
         assert state.step == 4
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_helper_held_in_position_0_moves_no_byte(self, threads, monkeypatch):
+        # The helper that keys position 0 is held, through the replaced
+        # _IMPORTED_DRAW, until the caller has drawn a later row. The caller
+        # then waits with that one row until row 0 is added: no thread draws a
+        # second row before it. The total is still bitwise the in-order sum of
+        # the step's streams. At one thread the caller draws every row.
+        _, params, _, _, cfg = self.problem(threads, monkeypatch)
+        caller, step = threading.current_thread(), 3
+        held, caller_drew = threading.Event(), threading.Event()
+        keyed, drawn = {}, []
+        stream, sample = engine._reused_noise_stream, engine.sample_noise
+
+        def held_stream(seed, step, position):
+            keyed[threading.current_thread()] = position
+            if position == 0 and threading.current_thread() is not caller:
+                held.set()
+                assert caller_drew.wait(30)
+            return stream(seed, step, position)
+
+        def logged_sample(*args, **kwargs):
+            out = sample(*args, **kwargs)
+            drawn.append((keyed[threading.current_thread()], threading.current_thread()))
+            if threading.current_thread() is caller:
+                caller_drew.set()
+            return out
+
+        monkeypatch.setattr(engine, "_reused_noise_stream", held_stream)
+        monkeypatch.setattr(engine, "sample_noise", logged_sample)
+        monkeypatch.setattr(engine, "_IMPORTED_DRAW", (held_stream, logged_sample))
+        with engine.NoiseDraws(cfg, params.dim, np.float32) as draws:
+            draws.begin(step)
+            if threads > 1:
+                assert held.wait(30)
+            total = draws.total_noise()
+
+        std = 1.3 / math.sqrt(self.B)
+        want = np.zeros(params.dim, dtype=np.float32)
+        for position in range(self.B):
+            want += sample(engine.noise_stream(7, step, position), params.dim, np.dtype(np.float32), std)
+        assert total.tobytes() == want.tobytes()
+        assert sorted(p for p, _ in drawn) == list(range(self.B))
+        before = Counter(thread for _, thread in drawn[: [p for p, _ in drawn].index(0)])
+        if threads == 1:
+            assert {thread for _, thread in drawn} == {caller} and not before
+        else:
+            assert before[caller] == 1 and max(before.values()) == 1 and len(before) <= threads - 1
 
 
 class TestBlasHold:

@@ -2,7 +2,8 @@
 
 Usage: python3 tools/output_digests.py [--seeds 1 2 3]
 
-Runs `mlp_pe_b32`, `cnn_layerclip_b8` (in f32 and in f64) and `batch_study`
+Runs `mlp_pe_b32` (also at B = 256, so that each drawing thread draws many
+rows of a step), `cnn_layerclip_b8` (in f32 and in f64) and `batch_study`
 through `dpsgd.cli.main`, with the config keys that
 `benchmarks/workloads.config_values` gives each seed, and the `account_grid`
 queries of each seed. It prints one line per output:
@@ -35,6 +36,7 @@ from dpsgd import cli  # noqa: E402
 # (label, workload name, config keys changed from the workload's own)
 TRAINING = (
     ("mlp_pe_b32", "mlp_pe_b32", {}),
+    ("mlp_pe_b256", "mlp_pe_b32", {"dp.grad_acc_count": 256}),
     ("cnn_layerclip_b8", "cnn_layerclip_b8", {}),
     ("cnn_layerclip_b8_f64", "cnn_layerclip_b8", {"train.precision": "f64"}),
     ("batch_study", "batch_study", {}),
