@@ -197,6 +197,9 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
     if source == "synth" and math.prod(config["model.input_shape"]) < config["model.classes"]:
         fail("model.input_shape", f"synthetic data needs at least {config['model.classes']} values (model.classes) "
                                   f"per example, got {config['model.input_shape']}")
+    length, what = (1, "a single dimension") if config["model.kind"] == "mlp" else (3, "c,h,w")
+    if len(config["model.input_shape"]) != length:
+        fail("model.input_shape", f"{config['model.kind']} needs {what}, got {config['model.input_shape']}")
     # A sweep runs train.seed + i at its i-th point, and the noise keys take seeds modulo 2**64.
     points = math.prod(len(config[key]) or 1 for key in ("sweep.grad_acc_count", "sweep.noise_multiplier",
                                                           "sweep.clip_norm"))
@@ -231,16 +234,9 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
 
 
 def build_model_spec(config: ExperimentConfig) -> models.ModelSpec:
-    kind = config["model.kind"]
-    classes = config["model.classes"]
-    if kind == "mlp":
-        shape = config["model.input_shape"]
-        if len(shape) != 1:
-            raise ConfigurationError(f"model.input_shape: mlp needs a single dimension, got {shape}")
+    shape, classes = config["model.input_shape"], config["model.classes"]
+    if config["model.kind"] == "mlp":
         return models.mlp_spec(shape[0], config["model.hidden"], classes)
-    shape = config["model.input_shape"]
-    if len(shape) != 3:
-        raise ConfigurationError(f"model.input_shape: cnn needs c,h,w; got {shape}")
     return models.cnn_spec(tuple(shape), tuple(config["model.channels"]), config["model.groups"], classes)
 
 

@@ -8,15 +8,15 @@ are Philox-keyed by (seed, step, example index), so no draw depends on the
 order in which examples are computed; draws use numpy's standard ziggurat
 normal transform.
 
-A step's per-example noise rows are drawn by the calling thread and one
-helper thread per further CPU (NoiseDraws). The helpers start on the rows
-when the step starts and draw while the caller computes; the caller draws
-what is left once its gradient chunks are done, and joins them. Each thread
-adds the one row it drew to the noise total in its turn, so the rows are
-added in batch-position order. experiment.run_experiment holds OpenBLAS to
-one thread for the whole run (one_blas_thread), so that the second CPU goes
-to the helpers. The bytes depend on neither the number of drawing threads
-nor the number of BLAS threads.
+A step's noise is k Philox streams of std sigma C / sqrt(k), summed in
+stream order: one per batch position, the one whole-batch stream, or none at
+sigma = 0. NoiseDraws draws them on the calling thread and one helper thread
+per further CPU. The helpers start when the step starts and draw while the
+caller computes; the caller draws what is left and joins them. Each thread
+adds the one stream it drew in its turn. experiment.run_experiment holds
+OpenBLAS to one thread for the whole run (one_blas_thread), so that the
+second CPU goes to the helpers. The bytes depend on neither the number of
+drawing threads nor the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -289,28 +289,34 @@ def drawing_threads(streams: int) -> int:
 
 
 class NoiseDraws:
-    """Draws the per-example noise rows of one train_epoch call's steps.
+    """Draws the noise streams of one train_epoch call's steps.
 
-    drawing_threads(B) - 1 helpers start on a step's rows when the step
-    begins, and the caller draws whatever rows are left once its gradient
-    chunks are done. Each thread takes the next batch position from a shared
-    counter, draws that row into its own one-row buffer, and adds it to the
-    step's total in its turn, once every earlier position is added. So the
-    rows are added in position order, and each drawing thread holds at most
-    one row. While engine.sample_noise or engine._reused_noise_stream is
-    replaced, the caller draws every row, so that the replacement sees every
-    draw. Inert when the config draws no per-example noise.
+    The streams are the batch positions 0..B-1 in per-example placement, the
+    one _BATCH_STREAM_INDEX in batch placement, and none at sigma = 0; each
+    has std sigma C / sqrt(k) for k streams, so that a step's total has
+    variance sigma^2 C^2 per coordinate. drawing_threads(k) - 1 helpers start
+    on a step's streams when the step begins, and the caller draws whatever
+    streams are left once its gradient chunks are done. Each thread takes the
+    next position in the stream list from a shared counter, draws that stream
+    into its own one-row buffer, and adds it to the step's total in its turn,
+    once every earlier position is added. So the streams are added in order,
+    and each drawing thread holds at most one row. While engine.sample_noise
+    or engine._reused_noise_stream is replaced, the caller draws every stream,
+    so that the replacement sees every draw.
     """
 
     def __init__(self, cfg: DpConfig, dim: int, dtype):
         self.cfg, self.dim, self.dtype, self.pool, self.helpers = cfg, dim, np.dtype(dtype), None, []
-        self.active = cfg.noise_placement == "per_example" and cfg.noise_multiplier != 0.0
-        if not self.active:
-            return
-        self.std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(cfg.effective_batch)
+        if cfg.noise_multiplier == 0.0:
+            self.streams = ()
+        elif cfg.noise_placement == "per_example":
+            self.streams = range(cfg.effective_batch)
+        else:
+            self.streams = (_BATCH_STREAM_INDEX,)
+        self.std = cfg.noise_multiplier * cfg.clip_norm / math.sqrt(max(len(self.streams), 1))
         hooked = (_reused_noise_stream, sample_noise) != _IMPORTED_DRAW
-        self.threads = 1 if hooked else drawing_threads(cfg.effective_batch)
-        # Signalled when a row is added, and when the draws stop because a
+        self.threads = 1 if hooked else drawing_threads(len(self.streams))
+        # Signalled when a stream is added, and when the draws stop because a
         # helper failed or the train_epoch call is leaving.
         self.changed, self.stopped = threading.Condition(), False
         if self.threads > 1:
@@ -336,16 +342,14 @@ class NoiseDraws:
             self.changed.notify_all()
 
     def begin(self, step: int) -> None:
-        """Start step's rows from a zero total and position 0, and hand them to the helpers."""
-        if not self.active:
-            return
+        """Start step's streams from a zero total and position 0, and hand them to the helpers."""
         self.step, self.total = step, np.zeros(self.dim, dtype=self.dtype)
         self.positions, self.added = itertools.count(), 0
         if self.pool is not None:
             self.helpers = [self.pool.submit(self.helper, step) for _ in range(self.threads - 1)]
 
     def helper(self, step: int) -> None:
-        """One helper's rows of step. A failure stops the other threads before
+        """One helper's streams of step. A failure stops the other threads before
         it propagates, so none of them waits for a row that will not come."""
         try:
             _helper_rows(self, step)
@@ -354,12 +358,12 @@ class NoiseDraws:
             raise
 
     def draw(self, step: int, stream, sample) -> None:
-        """Draw and add rows of step until its positions run out or the draws
+        """Draw and add streams of step until the positions run out or the draws
         stop. Each next() on the shared itertools.count is one C call, so under
         the interpreter lock every position goes to exactly one thread."""
         row = np.empty(self.dim, dtype=self.dtype)
-        while not self.stopped and (position := next(self.positions)) < self.cfg.effective_batch:
-            sample(stream(self.cfg.seed, step, position), self.dim, self.dtype, self.std, out=row)
+        while not self.stopped and (position := next(self.positions)) < len(self.streams):
+            sample(stream(self.cfg.seed, step, self.streams[position]), self.dim, self.dtype, self.std, out=row)
             with self.changed:
                 self.changed.wait_for(lambda: self.added == position or self.stopped)
                 if self.stopped:
@@ -369,12 +373,12 @@ class NoiseDraws:
                 self.changed.notify_all()
 
     def total_noise(self) -> np.ndarray:
-        """The begun step's noise total: the caller draws the rows left, waits
-        until the last row is added and joins the helpers."""
+        """The begun step's noise total: the caller draws the streams left,
+        waits until the last one is added and joins the helpers."""
         step = self.step
         self.draw(step, _reused_noise_stream, sample_noise)
         with self.changed:
-            self.changed.wait_for(lambda: self.added == self.cfg.effective_batch or self.stopped)
+            self.changed.wait_for(lambda: self.added == len(self.streams) or self.stopped)
         helpers, self.helpers = self.helpers, []
         for helper in helpers:
             try:
@@ -385,7 +389,7 @@ class NoiseDraws:
 
 
 def _helper_rows(draws: NoiseDraws, step: int) -> None:
-    """A helper thread's rows of step, drawn through _IMPORTED_DRAW."""
+    """A helper thread's streams of step, drawn through _IMPORTED_DRAW."""
     draws.draw(step, *_IMPORTED_DRAW)
 
 
@@ -433,28 +437,11 @@ def one_blas_thread():
         set_(threads)
 
 
-def step_noise(cfg: DpConfig, step: int, dim: int, dtype, draws: NoiseDraws | None = None) -> np.ndarray:
-    """The noise total of one step: k Philox streams of std sigma C / sqrt(k),
-    drawn and summed from zeros in stream order, so that it has variance
-    sigma^2 C^2 per coordinate. Per-example placement draws streams 0..B-1,
-    one per batch position, through draws, the running train_epoch's
-    NoiseDraws begun on this step, or else through a NoiseDraws made for this
-    call. Batch placement draws the one stream _BATCH_STREAM_INDEX on the
-    calling thread. Zeros, with no draws, when sigma = 0. This is the only
-    place a training step's noise is drawn."""
-    dtype = np.dtype(dtype)
-    if cfg.noise_multiplier == 0.0:
-        return np.zeros(dim, dtype=dtype)
-    if cfg.noise_placement == "batch":
-        std = cfg.noise_multiplier * cfg.clip_norm
-        total = np.zeros(dim, dtype=dtype)
-        total += sample_noise(_reused_noise_stream(cfg.seed, step, _BATCH_STREAM_INDEX), dim, dtype, std)
-        return total
-    if draws is None:
-        with NoiseDraws(cfg, dim, dtype) as draws:
-            draws.begin(step)
-            return draws.total_noise()
-    return draws.total_noise()
+def step_noise(cfg: DpConfig, step: int, dim: int, dtype) -> np.ndarray:
+    """The noise total of one step, drawn by a NoiseDraws made for this call."""
+    with NoiseDraws(cfg, dim, dtype) as draws:
+        draws.begin(step)
+        return draws.total_noise()
 
 
 def accumulate(contributions, batch_size: int) -> FlatGradient:
@@ -570,10 +557,10 @@ def train_epoch(
     Each effective batch runs in chunks of models.chunk_size examples. For a
     chunk: per-example gradients and their float64 squared norms per layer,
     one clip factor per example and slice, and the factor-weighted sum added
-    to the batch total. Then step_noise adds up the step's noise total, the
+    to the batch total. Then NoiseDraws adds up the step's noise total, the
     mean takes one sgd step, and the accountant and metrics hooks fire
-    once. Helper threads start on the step's per-example noise rows when the
-    step starts and are joined when the call returns or raises. The step is
+    once. Helper threads start on the step's noise streams when the step
+    starts and are joined when the call returns or raises. The step is
     opt_state.step, which sgd_step advances: it keys the noise, and the
     record and the accountant hook read it after the update.
     Returns the RunRecords for the epoch; a failed step leaves params at the
@@ -609,7 +596,7 @@ def train_epoch(
                 models.add_weighted_sums(clipped_views, grads, factors[slice_of_layer].astype(dtype))
                 loss_sum += float(losses.sum())
 
-            noise_total = step_noise(cfg, opt_state.step, params.dim, dtype, draws)
+            noise_total = draws.total_noise()
             mean_grad = (sum_clipped + noise_total) / batch_size
 
             params, opt_state = sgd_step(params, mean_grad, lr, opt_state)

@@ -66,16 +66,14 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
     seed = cfg["train.seed"] if seed is None else seed
     cfg = cfg.with_overrides(train__seed=seed)
 
-    out_dir = Path(cfg["train.output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     spec = config_mod.build_model_spec(cfg)
     train_set, eval_set = config_mod.build_datasets(cfg)
     dp_cfg = config_mod.build_dp_config(cfg)
     dtype = config_mod.dtype_for(cfg)
     if dp_cfg.effective_batch > train_set.size:
         raise ConfigurationError(
-            f"effective batch {dp_cfg.effective_batch} exceeds dataset size {train_set.size}"
+            f"dp.grad_acc_count: effective batch {dp_cfg.effective_batch} (dp.grad_acc_count x dp.replicas) "
+            f"exceeds dataset size {train_set.size}"
         )
 
     # One OpenBLAS thread for the whole run: the second CPU goes to the noise helpers.
@@ -116,6 +114,9 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
             )
             epoch_epsilon.append(0.0)
 
+    # Made only now, so that a run that fails leaves no empty output directory.
+    out_dir = Path(cfg["train.output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     run_id = run_id_for(cfg, seed)
     csv_path = out_dir / f"{run_id}.csv"
     metrics.emit_csv(records, csv_path)

@@ -108,6 +108,24 @@ class TestRunCommand:
         assert f": {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, extra", [
+        ("model.input_shape", "model.kind = cnn\nmodel.input_shape = 3,8\nmodel.channels = 4\nmodel.groups = 2\n"),
+        ("dp.grad_acc_count", "data.per_class = 2\ndp.grad_acc_count = 64\n"),
+        ("dp.num_stages", "model.hidden = 8\ndp.mode = per_stage\ndp.num_stages = 5\n"),
+    ], ids=["cnn_shape", "batch_over_examples", "stages_over_layers"])
+    def test_error_found_after_parsing_leaves_no_output_dir(self, tmp_path, capsys, key, extra):
+        # A CNN input shape that is not c,h,w; an effective batch above the 6
+        # examples; 5 stages for the MLP's 2 layers.
+        lines = [line for line in base_config(tmp_path / "out").splitlines()
+                 if line.split(" = ")[0] not in (x.split(" = ")[0] for x in extra.splitlines())]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines) + f"\n{extra}")
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: " in err
+        assert key != "model.input_shape" or f"{path}: {key}: " in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 2
 

@@ -279,12 +279,17 @@ class TestNoise:
         got = engine.step_noise(self.cfg(sigma=0.0, placement=placement), 3, 10, np.float32)
         assert got.dtype == np.float32 and got.shape == (10,) and not got.any()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_step_noise_bytes_do_not_depend_on_drawing_threads(self, dtype, monkeypatch):
+    @pytest.mark.parametrize("placement, sigma, dtype", [
+        ("per_example", 1.3, np.float32), ("per_example", 1.3, np.float64),
+        ("batch", 1.3, np.float32), ("batch", 1.3, np.float64),
+        ("per_example", 0.0, np.float32), ("per_example", 0.0, np.float64),
+    ], ids=["float32", "float64", "batch-float32", "batch-float64", "sigma0-float32", "sigma0-float64"])
+    def test_step_noise_bytes_do_not_depend_on_drawing_threads(self, placement, sigma, dtype, monkeypatch):
         # 2 and 3 threads give the bytes of the one-thread draw. A short switch
         # interval makes threads interleave often, so a position drawn twice,
-        # skipped or added out of turn would show.
-        cfg = self.cfg(sigma=1.3, clip=0.7, batch=7)
+        # skipped or added out of turn would show. One stream, or none, makes
+        # no helper pool.
+        cfg = self.cfg(sigma=sigma, clip=0.7, batch=7, placement=placement)
         dim = 4810
         totals = {}
         interval = sys.getswitchinterval()
@@ -292,6 +297,8 @@ class TestNoise:
         try:
             for threads in (1, 2, 3):
                 monkeypatch.setattr(engine, "drawing_threads", lambda streams, n=threads: min(n, streams))
+                with engine.NoiseDraws(cfg, dim, dtype) as draws:
+                    assert (draws.pool is None) == (threads == 1 or placement == "batch" or sigma == 0.0)
                 for step in range(20):
                     totals[threads, step] = engine.step_noise(cfg, step, dim, dtype).tobytes()
         finally:

@@ -16,8 +16,10 @@ workload and metric it then gives the quartiles [q1, median, q3] of each
 side (statistics.quantiles, n=4, as `benchmarks/run.py --compare` computes
 them), the ratio new median / base median, the pairs the new side won, and
 whether the new median stays within the metric's bound in the new
-checkout's BENCHMARK.json. The file is rewritten after every pair, so an
-interrupted run keeps its whole pairs. `--tier1` embeds the JSON list that
+checkout's BENCHMARK.json, and per side the failed and attempted
+operations summed over the pairs. The file is replaced whole after every
+pair (written beside it, then renamed over it), so an interrupted run keeps
+its whole pairs. `--tier1` embeds the JSON list that
 tools/tier1_times.py printed.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -91,6 +94,12 @@ def summary(pairs: list, end_to_end: dict) -> dict:
     return out
 
 
+def operations(pairs: list) -> dict:
+    """Per side: the failed and attempted operations, summed over the pairs."""
+    return {side: {key: sum(p[key][side] for p in pairs) for key in ("failed", "attempted")}
+            for side in ("base", "new")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="root of the base checkout")
@@ -127,10 +136,14 @@ def main(argv=None) -> int:
                 "nproc": machine["nproc"], "python": machine["python"], "numpy": machine["numpy"],
                 "blas": f"{blas['name']} {blas['version']} threads={blas['threads']}",
             }
-            report["workloads"][workload] = {"pairs": pairs, "metrics": summary(pairs, end_to_end)}
+            report["workloads"][workload] = {
+                "pairs": pairs, "metrics": summary(pairs, end_to_end), "operations": operations(pairs),
+            }
             text = json.dumps(report, indent=1)
             if args.out is not None:
-                args.out.write_text(text + "\n", encoding="utf-8")
+                partial = args.out.with_name(f".{args.out.name}.tmp")
+                partial.write_text(text + "\n", encoding="utf-8")
+                os.replace(partial, args.out)
     print(text)
     return 0
 

@@ -3,7 +3,8 @@
 Usage: python3 tools/output_digests.py [--seeds 1 2 3]
 
 Runs `mlp_pe_b32` (also at B = 256, so that each drawing thread draws many
-rows of a step), `cnn_layerclip_b8` (in f32 and in f64) and `batch_study`
+rows of a step, and with `dp.enabled = false`, which draws no noise),
+`cnn_layerclip_b8` (in f32 and in f64) and `batch_study` (in f32 and in f64)
 through `dpsgd.cli.main`, with the config keys that
 `benchmarks/workloads.config_values` gives each seed, and the `account_grid`
 queries of each seed. It prints one line per output:
@@ -37,9 +38,11 @@ from dpsgd import cli  # noqa: E402
 TRAINING = (
     ("mlp_pe_b32", "mlp_pe_b32", {}),
     ("mlp_pe_b256", "mlp_pe_b32", {"dp.grad_acc_count": 256}),
+    ("mlp_nodp", "mlp_pe_b32", {"dp.enabled": "false"}),
     ("cnn_layerclip_b8", "cnn_layerclip_b8", {}),
     ("cnn_layerclip_b8_f64", "cnn_layerclip_b8", {"train.precision": "f64"}),
     ("batch_study", "batch_study", {}),
+    ("batch_study_f64", "batch_study", {"train.precision": "f64"}),
 )
 
 
