@@ -225,8 +225,8 @@ def _validate(config: ExperimentConfig, origin: str) -> None:
         fail("train.workers", "must be >= 1")
     if config["train.precision"] not in ("f32", "f64"):
         fail("train.precision", f"must be f32 or f64, got {config['train.precision']!r}")
-    if not config["optimizer.base_lr"] > 0:
-        fail("optimizer.base_lr", "must be positive")
+    if not 0.0 < config["optimizer.base_lr"] < math.inf:
+        fail("optimizer.base_lr", f"must be finite and > 0, got {config['optimizer.base_lr']}")
     if not 0.0 <= config["optimizer.momentum"] < 1.0:
         fail("optimizer.momentum", "must lie in [0, 1)")
     if not 0.0 < config["optimizer.decay_factor"] < math.inf:

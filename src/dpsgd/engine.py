@@ -78,8 +78,8 @@ class DpConfig:
     def __post_init__(self):
         if not self.clip_norm > 0:
             raise ConfigurationError(f"clip_norm: must be positive, got {self.clip_norm}")
-        if not self.noise_multiplier >= 0:
-            raise ConfigurationError(f"noise_multiplier: must be >= 0, got {self.noise_multiplier}")
+        if not 0.0 <= self.noise_multiplier < math.inf:
+            raise ConfigurationError(f"noise_multiplier: must be finite and >= 0, got {self.noise_multiplier}")
         if self.mode not in CLIP_MODES:
             raise ConfigurationError(f"mode: must be one of {CLIP_MODES}, got {self.mode!r}")
         for name in ("num_stages", "grad_acc_count", "replicas"):
@@ -506,8 +506,8 @@ def lr_schedule(
 ) -> float:
     """Stepped decay, optionally scaling the initial rate by the
     accumulation count."""
-    if not base_lr > 0:
-        raise ConfigurationError(f"base_lr must be positive, got {base_lr}")
+    if not 0.0 < base_lr < math.inf:
+        raise ConfigurationError(f"base_lr must be finite and positive, got {base_lr}")
     lr = base_lr * grad_acc_count if scaling else base_lr
     for boundary in decay_epochs:
         if epoch >= boundary:
@@ -549,8 +549,6 @@ def train_epoch(
     opt_state: OptimizerState,
     *,
     epoch: int = 0,
-    accountant_hook=None,
-    metrics_hook=None,
 ):
     """One pass over the given batches of example indices.
 
@@ -558,14 +556,15 @@ def train_epoch(
     chunk: per-example gradients and their float64 squared norms per layer,
     one clip factor per example and slice, and the factor-weighted sum added
     to the batch total. Then NoiseDraws adds up the step's noise total, the
-    mean takes one sgd step, and the accountant and metrics hooks fire
-    once. Helper threads start on the step's noise streams when the step
-    starts and are joined when the call returns or raises. The step is
-    opt_state.step, which sgd_step advances: it keys the noise, and the
-    record and the accountant hook read it after the update.
-    Returns the RunRecords for the epoch; a failed step leaves params at the
-    last completed step. A non-finite per-example norm raises
-    NonFiniteGradientError naming the step, the batch position and the layer.
+    mean takes one sgd step, and the step's record is made. Helper threads
+    start on the step's noise streams when the step starts and are joined
+    when the call returns or raises. The step is opt_state.step, which
+    sgd_step advances: it keys the noise, and the record reads it after the
+    update. Returns the RunRecords for the epoch, with epsilon and accuracy
+    not set: experiment.run_experiment prices and evaluates them. A failed
+    step leaves params at the last completed step. A non-finite per-example
+    norm raises NonFiniteGradientError naming the step, the batch position
+    and the layer.
     """
     slice_of_layer, bound = _clip_slices(cfg, len(params.layouts))
     slice_starts = np.flatnonzero(np.diff(slice_of_layer, prepend=-1))
@@ -600,17 +599,12 @@ def train_epoch(
             mean_grad = (sum_clipped + noise_total) / batch_size
 
             params, opt_state = sgd_step(params, mean_grad, lr, opt_state)
-            epsilon = accountant_hook(opt_state.step) if accountant_hook is not None else float("inf")
-            record = metrics.record_step(
+            records.append(metrics.record_step(
                 sum_clipped, noise_total,
                 step=opt_state.step,
                 epoch=epoch,
                 lr=lr,
                 loss=loss_sum / cfg.effective_batch,
                 sigma=cfg.noise_multiplier,
-                epsilon=epsilon,
-            )
-            records.append(record)
-            if metrics_hook is not None:
-                metrics_hook(record)
+            ))
     return params, opt_state, records

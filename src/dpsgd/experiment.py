@@ -2,8 +2,8 @@
 
 A run is fully determined by its config: data, init, shuffles and noise
 all derive from the configured seeds, so re-running a config reproduces
-its CSV byte for byte. Sweep grid points are seeded base_seed + index and
-can be re-run individually from that derived seed.
+its CSV byte for byte. Sweep grid point i runs with train.seed + i, and
+can be re-run alone with train.seed set to that derived seed.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ def _num(value: float) -> str:
     return f"{value:g}"
 
 
-def run_id_for(cfg: config_mod.ExperimentConfig, seed: int) -> str:
+def run_id_for(cfg: config_mod.ExperimentConfig) -> str:
     dp = cfg["dp.enabled"]
     tag = (
         f"ga{cfg['dp.grad_acc_count'] * cfg['dp.replicas']}"
         f"_sig{_num(cfg['dp.noise_multiplier']) if dp else 'off'}"
         f"_clip{_num(cfg['dp.clip_norm']) if dp else 'off'}"
     )
-    return f"{tag}_seed{seed}"
+    return f"{tag}_seed{cfg['train.seed']}"
 
 
 def _make_accountant_hook(dataset_size: int, dp_cfg: engine.DpConfig, delta: float):
@@ -60,11 +60,10 @@ def _make_accountant_hook(dataset_size: int, dp_cfg: engine.DpConfig, delta: flo
     return lambda step: accounting.epsilon_after(step_curve, step, delta)[0]
 
 
-def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) -> RunResult:
-    """Train per the config and write `<run_id>.csv` plus a params blob."""
+def run_experiment(cfg: config_mod.ExperimentConfig) -> RunResult:
+    """Train per the config, price each record's step, and write `<run_id>.csv` plus a params blob."""
     start = time.monotonic()
-    seed = cfg["train.seed"] if seed is None else seed
-    cfg = cfg.with_overrides(train__seed=seed)
+    seed = cfg["train.seed"]
 
     spec = config_mod.build_model_spec(cfg)
     train_set, eval_set = config_mod.build_datasets(cfg)
@@ -83,11 +82,9 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
             velocity=np.zeros(params.dim, dtype=dtype),
             momentum=cfg["optimizer.momentum"],
         )
-        hook = _make_accountant_hook(train_set.size, dp_cfg, cfg["train.delta"])
+        price = _make_accountant_hook(train_set.size, dp_cfg, cfg["train.delta"])
 
         records: list[metrics.RunRecord] = []
-        epoch_accuracy: list[float] = []
-        epoch_epsilon: list[float] = []
         for epoch in range(cfg["train.epochs"]):
             lr = engine.lr_schedule(
                 epoch,
@@ -101,39 +98,36 @@ def run_experiment(cfg: config_mod.ExperimentConfig, seed: int | None = None) ->
             params, opt_state, epoch_records = engine.train_epoch(
                 spec, params, train_set.examples, train_set.labels, batches, dp_cfg, lr, opt_state,
                 epoch=epoch,
-                accountant_hook=hook,
             )
-            accuracy = models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
-            epoch_records[-1].accuracy = accuracy
-            epoch_accuracy.append(accuracy)
-            epoch_epsilon.append(hook(opt_state.step))
+            for record in epoch_records:
+                record.epsilon = price(record.step)
+            epoch_records[-1].accuracy = models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
             records.extend(epoch_records)
-        if not epoch_accuracy:  # zero epochs: the untrained model, and no privacy spent
-            epoch_accuracy.append(
-                models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels)
-            )
-            epoch_epsilon.append(0.0)
+        # An epoch's (accuracy, epsilon) is its last record's, the one that was evaluated.
+        per_epoch = [(r.accuracy, r.epsilon) for r in records if r.accuracy is not None]
+        if not per_epoch:  # zero epochs: the untrained model, and no privacy spent
+            per_epoch.append((models.evaluate_accuracy(spec, params, eval_set.examples, eval_set.labels), 0.0))
 
     # Made only now, so that a run that fails leaves no empty output directory.
     out_dir = Path(cfg["train.output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_id = run_id_for(cfg, seed)
+    run_id = run_id_for(cfg)
     csv_path = out_dir / f"{run_id}.csv"
     metrics.emit_csv(records, csv_path)
     params_path = out_dir / f"{run_id}_params.npz"
     with metrics.replacing(params_path, binary=True) as handle:
         np.savez(handle, flat=params.flat, seed=seed, dim=params.dim)
 
-    best_epoch = int(np.argmax(epoch_accuracy))
+    best_epoch = int(np.argmax([accuracy for accuracy, _ in per_epoch]))
     return RunResult(
         run_id=run_id,
         csv_path=csv_path,
         params_path=params_path,
-        final_accuracy=epoch_accuracy[-1],
-        final_epsilon=epoch_epsilon[-1],
-        best_accuracy=epoch_accuracy[best_epoch],
+        final_accuracy=per_epoch[-1][0],
+        final_epsilon=per_epoch[-1][1],
+        best_accuracy=per_epoch[best_epoch][0],
         best_epoch=best_epoch,
-        epsilon_at_best=epoch_epsilon[best_epoch],
+        epsilon_at_best=per_epoch[best_epoch][1],
         wall_clock=time.monotonic() - start,
         records=records,
     )
@@ -175,9 +169,10 @@ def run_sweep(cfg: config_mod.ExperimentConfig):
             dp__grad_acc_count=int(grad_acc),
             dp__noise_multiplier=float(sigma),
             dp__clip_norm=float(clip),
+            train__seed=base_seed + index,
         )
         try:
-            result = run_experiment(point_cfg, seed=base_seed + index)
+            result = run_experiment(point_cfg)
             results.append(result)
             rows.append((
                 str(grad_acc), _num(sigma), _num(clip),

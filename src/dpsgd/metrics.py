@@ -34,13 +34,13 @@ class RunRecord:
     grad_norm: float
     noise_norm: float
     snr: float | None
-    epsilon: float
+    epsilon: float | None = None
 
 
 def record_step(sum_clipped: np.ndarray, noise_total: np.ndarray, *, step: int, epoch: int,
-                lr: float, loss: float, sigma: float, epsilon: float) -> RunRecord:
+                lr: float, loss: float, sigma: float) -> RunRecord:
     """Build the metrics row for one optimizer step from the flat summed clipped
-    gradient and noise total; accuracy is filled in per epoch."""
+    gradient and noise total; the run fills in epsilon, and accuracy per epoch."""
     if sum_clipped.size != noise_total.size:
         raise ShapeError(
             f"gradient and noise dimensions differ: {sum_clipped.size} vs {noise_total.size}"
@@ -54,7 +54,7 @@ def record_step(sum_clipped: np.ndarray, noise_total: np.ndarray, *, step: int, 
     else:
         snr = grad_norm / noise_norm
     return RunRecord(step=step, epoch=epoch, lr=lr, loss=loss, accuracy=None, grad_norm=grad_norm,
-                     noise_norm=noise_norm, snr=snr, epsilon=epsilon)
+                     noise_norm=noise_norm, snr=snr)
 
 
 def format_float(value: float) -> str:

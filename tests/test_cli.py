@@ -32,6 +32,16 @@ def base_config(out_dir, extra=""):
     )
 
 
+def run_fresh_process(*argv):
+    """`python -m dpsgd argv` in a fresh process that imports the same tree as this one."""
+    source_root = str(Path(dpsgd.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dpsgd", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 def write_config(tmp_path, extra="", name="run.cfg"):
     path = tmp_path / name
     path.write_text(base_config(tmp_path / "out", extra))
@@ -50,6 +60,8 @@ BAD_VALUES = [
     ("data.spread", "-0.1", ""),
     ("data.eval_per_class", "-1", ""),
     ("dp.clip_norm", "inf", ""),
+    ("dp.noise_multiplier", "inf", ""),
+    ("optimizer.base_lr", "inf", ""),
     ("data.per_class", "0", ""),
     ("data.seed", "-1", ""),
     ("train.seed", "-1", ""),
@@ -274,13 +286,7 @@ class TestDeterminism:
         cli.main(["run", str(path)])
         csv_path = next((tmp_path / "out").glob("*.csv"))
         first = csv_path.read_bytes()
-        # The fresh process imports the same tree as this one.
-        source_root = str(Path(dpsgd.__file__).parents[1])
-        pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dpsgd", "run", str(path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = run_fresh_process("run", str(path))
         assert proc.returncode == 0, proc.stderr
         assert csv_path.read_bytes() == first
 
@@ -315,6 +321,16 @@ class TestSweepCommand:
         assert "failed" in rows[0]
         assert rows[1].endswith(",ok")
 
+    def test_infinite_sigma_point_fails_naming_noise_multiplier(self, tmp_path):
+        # The inf point is rejected before it trains, so no numpy warning reaches stderr.
+        path = write_config(tmp_path, extra="sweep.noise_multiplier = 1,inf\n")
+        proc = run_fresh_process("sweep", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        with open(tmp_path / "out" / "frontier.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["ok", "failed: noise_multiplier: must be finite and >= 0, got inf"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_status_with_commas_reads_back_as_one_field(self, tmp_path):
         # A rate of 1e30 overflows after the first step; the status names the
@@ -338,9 +354,11 @@ class TestSweepCommand:
         cfg = config_mod.parse_config(path)
         frontier_path, results = experiment.run_sweep(cfg)
         # Re-run point index 1 (grad_acc=8) standalone from seed base+1.
-        point_cfg = cfg.with_overrides(dp__grad_acc_count=8)
-        rerun = experiment.run_experiment(point_cfg, seed=cfg["train.seed"] + 1)
+        point_cfg = cfg.with_overrides(dp__grad_acc_count=8, train__seed=cfg["train.seed"] + 1)
+        swept = results[1].csv_path.read_bytes()
+        rerun = experiment.run_experiment(point_cfg)
         assert rerun.run_id == results[1].run_id
+        assert rerun.csv_path.read_bytes() == swept
         assert rerun.best_accuracy == results[1].best_accuracy
         assert rerun.epsilon_at_best == results[1].epsilon_at_best
 
@@ -457,7 +475,7 @@ class TestEpsilonDuringTraining:
     def test_epsilon_at_best_prices_the_best_epochs_steps(self, tmp_path, monkeypatch):
         # Three epochs of 15 steps whose evaluations peak at the second: the
         # frontier's epsilon_at_best is the price of 30 steps, the final
-        # epsilon that of 45, and the CSV prints each epoch's last price.
+        # epsilon that of 45, and every CSV row prints the price of its step.
         from dpsgd import accounting, models
 
         scores = iter([0.5, 0.9, 0.7])
@@ -466,7 +484,7 @@ class TestEpsilonDuringTraining:
         path.write_text(path.read_text().replace("train.epochs = 2", "train.epochs = 3"))
         frontier, results = experiment.run_sweep(config_mod.parse_config(path))
         step_curve = accounting.per_step_curve(8 / 120, 1.0)
-        price = {steps: accounting.epsilon_after(step_curve, steps, 1e-5)[0] for steps in (15, 30, 45)}
+        price = {steps: accounting.epsilon_after(step_curve, steps, 1e-5)[0] for steps in range(1, 46)}
         assert results[0].best_epoch == 1
         assert results[0].epsilon_at_best == price[30] and results[0].final_epsilon == price[45]
         row = frontier.read_text().splitlines()[1].split(",")
@@ -475,6 +493,17 @@ class TestEpsilonDuringTraining:
         assert [(r.step, r.epsilon) for r in records if r.accuracy is not None] == [
             (steps, float(metrics.format_float(price[steps]))) for steps in (15, 30, 45)
         ]
+        with open(results[0].csv_path, newline="", encoding="utf-8") as handle:
+            printed = [(int(row["step"]), row["epsilon"]) for row in csv.DictReader(handle)]
+        assert printed == [(steps, metrics.format_float(price[steps])) for steps in range(1, 46)]
+
+    def test_sigma_zero_with_dp_on_reports_inf_epsilon(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("dp.noise_multiplier = 1.0", "dp.noise_multiplier = 0"))
+        assert cli.main(["run", str(path)]) == 0
+        assert "final_epsilon=inf " in capsys.readouterr().out
+        with open(next((tmp_path / "out").glob("*.csv")), newline="", encoding="utf-8") as handle:
+            assert [row["epsilon"] for row in csv.DictReader(handle)] == ["inf"] * 30
 
     def test_disabled_dp_reports_inf_epsilon(self, tmp_path):
         path = write_config(tmp_path, extra="dp.enabled = false\n")

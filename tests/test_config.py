@@ -70,7 +70,7 @@ class TestParser:
                 parse(MINIMAL + f"dp.enabled = {enabled}\ndp.noise_multiplier = nan\n")
 
     def test_nan_base_lr_rejected_at_parse_time(self):
-        with pytest.raises(ConfigurationError, match=r"^test: optimizer\.base_lr: must be positive$"):
+        with pytest.raises(ConfigurationError, match=r"^test: optimizer\.base_lr: must be finite and > 0, got nan$"):
             parse(MINIMAL + "optimizer.base_lr = nan\n")
 
     def test_infinite_clip_norm_parses_only_with_dp_off(self):

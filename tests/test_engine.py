@@ -437,6 +437,10 @@ class TestLrSchedule:
         with pytest.raises(ConfigurationError):
             engine.lr_schedule(0, 0.0, 1)
 
+    def test_infinite_base_rejected(self):
+        with pytest.raises(ConfigurationError, match="^base_lr must be finite and positive, got inf$"):
+            engine.lr_schedule(0, math.inf, 1)
+
 
 class TestTrainEpoch:
     def setup_problem(self, n=12, dim=6, classes=3, seed=11, dtype=np.float32):
@@ -517,8 +521,8 @@ class TestTrainEpoch:
     def test_split_epoch_continues_from_the_state_step(self):
         # The batches of one epoch, run in two calls that share one
         # OptimizerState, take the same steps and write the same records as
-        # one call: the state's step keys the noise, numbers the records and
-        # is what the accountant hook is asked to price.
+        # one call: the state's step keys the noise and numbers the records,
+        # which the engine leaves unpriced.
         cfg = DpConfig(clip_norm=1.0, noise_multiplier=1.0, grad_acc_count=4, seed=5)
         runs = []
         for cut in (3, 1, 2):
@@ -529,13 +533,12 @@ class TestTrainEpoch:
             for part in (batches[:cut], batches[cut:]):
                 params, state, recs = engine.train_epoch(
                     spec, params, ds.examples, ds.labels, part, cfg, 0.1, state,
-                    accountant_hook=lambda step: step / 8,
                 )
                 records.extend(recs)
             runs.append((params.flat.copy(), state.step, records))
         whole_flat, whole_step, whole_records = runs[0]
         assert whole_step == 3
-        assert [(r.step, r.epsilon) for r in whole_records] == [(1, 0.125), (2, 0.25), (3, 0.375)]
+        assert [(r.step, r.epsilon) for r in whole_records] == [(1, None), (2, None), (3, None)]
         for flat, step, records in runs[1:]:
             assert np.array_equal(flat, whole_flat)
             assert step == whole_step and records == whole_records

@@ -10,7 +10,7 @@ from dpsgd.metrics import RunRecord
 
 
 def ctx(sigma=1.0, **kwargs):
-    defaults = dict(step=1, epoch=0, lr=0.1, loss=2.0, sigma=sigma, epsilon=0.5)
+    defaults = dict(step=1, epoch=0, lr=0.1, loss=2.0, sigma=sigma)
     defaults.update(kwargs)
     return defaults
 

@@ -3,7 +3,8 @@
 Usage: python3 tools/output_digests.py [--seeds 1 2 3]
 
 Runs `mlp_pe_b32` (also at B = 256, so that each drawing thread draws many
-rows of a step, and with `dp.enabled = false`, which draws no noise),
+rows of a step, with `dp.enabled = false`, which draws no noise, and with
+`train.epochs = 0`, which reports the untrained model),
 `cnn_layerclip_b8` (in f32 and in f64) and `batch_study` (in f32 and in f64)
 through `dpsgd.cli.main`, with the config keys that
 `benchmarks/workloads.config_values` gives each seed, and the `account_grid`
@@ -11,8 +12,10 @@ queries of each seed. It prints one line per output:
 
     <workload> <seed> <file> <sha256>
 
-for every metrics CSV, `frontier.csv` and `_params.npz`, and for the
-`account` rows of `account_grid` (all 600, joined in query order). The
+for every metrics CSV, `frontier.csv` and `_params.npz`, for what each
+training call prints (as `stdout`, with its `wall_clock_s=` fields removed and
+the scratch directory's path replaced by `<work>`), and for the `account`
+rows of `account_grid` (all 600, joined in query order). The
 package is imported from the `src/` next to this file, so running the same
 script in two checkouts and diffing what they print shows whether a change
 moved any bytes.
@@ -24,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +43,7 @@ TRAINING = (
     ("mlp_pe_b32", "mlp_pe_b32", {}),
     ("mlp_pe_b256", "mlp_pe_b32", {"dp.grad_acc_count": 256}),
     ("mlp_nodp", "mlp_pe_b32", {"dp.enabled": "false"}),
+    ("mlp_epochs0", "mlp_pe_b32", {"train.epochs": 0}),
     ("cnn_layerclip_b8", "cnn_layerclip_b8", {}),
     ("cnn_layerclip_b8_f64", "cnn_layerclip_b8", {"train.precision": "f64"}),
     ("batch_study", "batch_study", {}),
@@ -51,19 +56,23 @@ def sha256(data: bytes) -> str:
 
 
 def training_digests(label: str, name: str, changes: dict, seed: int, work: Path):
-    """Run one training workload and yield (file name, digest) per output file."""
+    """Run one training workload and yield (file name, digest) per output file, then
+    ("stdout", digest) of what it printed, without its wall-clock times."""
     workload = workloads.WORKLOADS[name]
     out_dir = work / f"{label}_seed{seed}"
     values = workloads.config_values(workload, seed, str(out_dir))
     values.update(changes)
     config = work / f"{label}_seed{seed}.cfg"
     config.write_text(workloads.config_text(values), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
         code = cli.main([workload.command, str(config)])
     if code != 0:
         raise SystemExit(f"{label} at seed {seed} exited {code}")
     for path in sorted(out_dir.iterdir()):
         yield path.name, sha256(path.read_bytes())
+    stdout = re.sub(r" wall_clock_s=\S+", "", printed.getvalue()).replace(str(work), "<work>")
+    yield "stdout", sha256(stdout.encode("utf-8"))
 
 
 def account_digest(seed: int) -> str:
